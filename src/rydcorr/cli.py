@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, algebra
-from .correlators import CorrelationSeries, amplitude_ratio, g2, g15, g25, g3
+from . import __version__, algebra, correlators
+from .correlators import CorrelationSeries
 from .errors import (
     BadValueError,
     ConfigError,
@@ -44,9 +44,13 @@ from .errors import (
 )
 from .liouville import (
     DIM_PAIR,
+    HERMITICITY_TOL,
+    STATE_EIG_FLOOR,
+    TRACE_TOL,
     Liouvillian,
     build_adjoint_liouvillian,
     build_liouvillian,
+    chain,
     conjugation_defect,
     spectrum,
     state_residuals,
@@ -56,7 +60,6 @@ from .model import ModelParams, sigma
 from .trajectories import mcwf_run, write_clicks_csv
 
 COMMANDS = ("steady", "spectrum", "g2", "g15", "g3", "g25", "ampratio", "figure", "trajectories")
-FIGURES = ("fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 CONFIG_KEYS = {
     "omega1", "omega2", "v12", "gamma2", "gammaph", "theta", "t_sep",
@@ -64,9 +67,36 @@ CONFIG_KEYS = {
     "duration", "step", "out",
 }
 
-TRACE_TOL = 1e-9
-HERM_TOL = 1e-10
-EIG_FLOOR = -1e-9
+# tau window of each series kind (for ampratio: its T window); None ends at T
+WINDOWS = {"g2": (0.0, 25.0), "g15": (-25.0, 25.0), "g3": (0.0, None), "g25": (0.0, None),
+           "ampratio": (10.0, 18.0)}
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """A series kind on fixed atoms, with one panel per T or v12 value.
+
+    The window defaults to the kind's entry in WINDOWS.
+    """
+
+    kind: str
+    atoms: tuple
+    Ts: tuple = (None,)
+    v12: tuple = (None,)
+    window: tuple | None = None
+
+
+RECIPES = {
+    "fig2": Recipe("g2", (1, 2)),
+    "fig3a": Recipe("g15", (1, 1)),
+    "fig3b": Recipe("g15", (1, 2), v12=(0.0, 0.5, 1.0)),
+    "fig4": Recipe("g3", (1, 1, 2), Ts=(5.0, 10.0, 15.0)),
+    "fig5": Recipe("g3", (1, 2, 2), Ts=(5.0, 10.0, 15.0)),
+    "fig6": Recipe("g25", (1, 1, 2), Ts=(5.0, 10.0, 20.0)),
+    "fig7": Recipe("g25", (1, 2, 2), Ts=(5.0, 10.0, 20.0)),
+    "fig8": Recipe("ampratio", (1, 2, 2)),
+}
+FIGURES = tuple(RECIPES)
 
 
 @dataclass
@@ -196,12 +226,11 @@ def parse_config(argv) -> RunConfig:
         raise BadValueError(str(exc)) from exc
 
     default_atoms = {"g2": (1, 2), "g15": (1, 1), "g3": (1, 1, 2), "g25": (1, 1, 2),
-                     "ampratio": (1, 2, 2)}
+                     "ampratio": (1, 2, 2)}.get(args.command, ())
     atoms = merged.get("atoms")
-    atoms = _parse_atoms(atoms) if atoms is not None else default_atoms.get(args.command, ())
-    arity = {"g2": 2, "g15": 2, "g3": 3, "g25": 3, "ampratio": 3}.get(args.command)
-    if arity is not None and len(atoms) != arity:
-        raise BadValueError(f"{args.command} needs {arity} atom indices, got {atoms}")
+    atoms = _parse_atoms(atoms) if atoms is not None else default_atoms
+    if default_atoms and len(atoms) != len(default_atoms):
+        raise BadValueError(f"{args.command} needs {len(default_atoms)} atom indices, got {atoms}")
 
     cfg = RunConfig(
         command=args.command,
@@ -313,8 +342,8 @@ class InvariantLog:
 
     @property
     def ok(self) -> bool:
-        return (self.max_trace_dev <= TRACE_TOL and self.max_herm <= HERM_TOL
-                and self.min_eig >= EIG_FLOOR)
+        return (self.max_trace_dev <= TRACE_TOL and self.max_herm <= HERMITICITY_TOL
+                and self.min_eig >= STATE_EIG_FLOOR)
 
     def entries(self):
         return [
@@ -334,27 +363,16 @@ def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
     rho = steady_state(lv)
     log.add_state(rho)
     p = np.trace(sigma(i, 2, 2).matrix @ rho).real
-    x = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / p
-    prev = 0.0
-    for t in grid:
-        if t < 0:
-            continue
-        dt = t - prev
-        if dt > 0:
-            x = algebra.devectorize(lv.propagator(dt) @ algebra.vectorize(x), DIM_PAIR, DIM_PAIR)
-        prev = t
+    x0 = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / p
+    ahead = grid[grid >= 0]
+    for row in chain(lv, x0, np.diff(ahead, prepend=0.0)):
+        x = algebra.devectorize(row, DIM_PAIR, DIM_PAIR)
         log.add_state(x / max(np.trace(x).real, 1e-300))
     if lv_adj is not None and k is not None and T is not None:
         e = sigma(k, 2, 2).matrix
         log.add_effect(e)
-        prev = T
-        for t in grid[::-1]:
-            dt = prev - t
-            if dt > 0:
-                e = algebra.devectorize(lv_adj.propagator(dt) @ algebra.vectorize(e),
-                                        DIM_PAIR, DIM_PAIR)
-            prev = t
-            log.add_effect(e)
+        for row in chain(lv_adj, e, np.r_[T - grid[-1], np.diff(grid)[::-1]]):
+            log.add_effect(algebra.devectorize(row, DIM_PAIR, DIM_PAIR))
 
 
 def _default_dtau(p: ModelParams) -> float:
@@ -366,12 +384,40 @@ def _grid(lo, hi, dt):
     return np.linspace(lo, hi, n + 1)
 
 
-def _series_entries(cfg: RunConfig, grid) -> list:
-    return [
-        ("tau_min", f"{grid[0]:.12g}"),
-        ("tau_max", f"{grid[-1]:.12g}"),
-        ("points", str(len(grid))),
-    ]
+def _run_recipe(recipe: Recipe, cfg: RunConfig, log: InvariantLog, dT: float | None = None) -> list:
+    """Every panel of a recipe, each followed by the audit of its conditional path.
+
+    ``dT`` is the step of the ampratio T grid (default: a sixteenth of the
+    Rabi period). Returns (suffix, series, panel parameters) triples; the
+    suffix names the panel (``_v0.5``, ``_T10``, ``_max``) and is empty for a
+    single panel.
+    """
+    p, theta = cfg.params, cfg.theta
+    dtau = cfg.dtau if cfg.dtau is not None else _default_dtau(p)
+    if dT is None:
+        dT = (2 * math.pi / p.rabi) / 16.0
+    lo, hi = recipe.window or WINDOWS[recipe.kind]
+    i, k = recipe.atoms[0], recipe.atoms[-1]
+    amplitude = (theta,) if recipe.kind in ("g15", "g25") else ()
+    out = []
+    for v12 in recipe.v12:
+        panel = p if v12 is None else replace(p, v12=v12)
+        tag = "" if v12 is None else f"_v{v12:g}"
+        lv = build_liouvillian(panel)
+        if recipe.kind == "ampratio":
+            series = correlators.amplitude_ratio(lv, *recipe.atoms, theta, _grid(lo, hi, dT))
+            out.extend((f"{tag}_{name}", s, panel) for name, s in zip(("max", "min", "mean"), series))
+            _audit_conditional_path(lv, i, _grid(0.0, hi, dtau), log)
+            continue
+        lv_adj = build_adjoint_liouvillian(panel) if recipe.kind in ("g3", "g25") else None
+        for T in recipe.Ts:
+            grid = _grid(lo, T if hi is None else hi, dtau)
+            # looked up at call time, so a wrapper installed on the module is seen
+            series = getattr(correlators, recipe.kind)(lv, *recipe.atoms, *amplitude, grid,
+                                                       *([] if T is None else [T]))
+            out.append((tag if T is None else f"{tag}_T{T:g}", series, panel))
+            _audit_conditional_path(lv, i, grid, log, lv_adj, k, T)
+    return out
 
 
 # --- commands ---------------------------------------------------------------
@@ -385,63 +431,32 @@ def _manifest_path(out: Path) -> Path:
 
 
 def _run_series_command(cfg: RunConfig):
-    p = cfg.params
-    lv = build_liouvillian(p)
-    dtau = cfg.dtau if cfg.dtau is not None else _default_dtau(p)
-    theta = cfg.theta
+    kind = cfg.command
+    lo = cfg.tau_min if cfg.tau_min is not None else WINDOWS[kind][0]
+    hi = cfg.tau_max if cfg.tau_max is not None else WINDOWS[kind][1]
+    if kind == "g2" and lo < 0:
+        raise BadValueError("g2 needs tau >= 0")
+    if kind == "ampratio" and lo <= 0:
+        raise BadValueError("ampratio needs a positive T grid")
+    three_time = kind in ("g3", "g25")
+    recipe = Recipe(kind, cfg.atoms, Ts=(cfg.t_sep,) if three_time else (None,), window=(lo, hi))
     log = InvariantLog()
-    entries = [("command", cfg.command), ("atoms", ",".join(map(str, cfg.atoms)))]
+    panels = _run_recipe(recipe, cfg, log, dT=cfg.dtau)
 
-    if cfg.command == "g2":
-        lo = cfg.tau_min if cfg.tau_min is not None else 0.0
-        hi = cfg.tau_max if cfg.tau_max is not None else 25.0
-        if lo < 0:
-            raise BadValueError("g2 needs tau >= 0")
-        grid = _grid(lo, hi, dtau)
-        series = [g2(lv, *cfg.atoms, grid)]
-        _audit_conditional_path(lv, cfg.atoms[0], grid, log)
-    elif cfg.command == "g15":
-        lo = cfg.tau_min if cfg.tau_min is not None else -25.0
-        hi = cfg.tau_max if cfg.tau_max is not None else 25.0
-        grid = _grid(lo, hi, dtau)
-        series = [g15(lv, *cfg.atoms, theta, grid)]
-        entries.append(("theta", f"{theta:.12g}"))
-        _audit_conditional_path(lv, cfg.atoms[0], grid, log)
-    elif cfg.command in ("g3", "g25"):
-        T = cfg.t_sep
-        lo = cfg.tau_min if cfg.tau_min is not None else 0.0
-        hi = cfg.tau_max if cfg.tau_max is not None else T
-        grid = _grid(lo, hi, dtau)
-        lv_adj = build_adjoint_liouvillian(p)
-        if cfg.command == "g3":
-            series = [g3(lv, *cfg.atoms, grid, T)]
-        else:
-            series = [g25(lv, *cfg.atoms, theta, grid, T)]
-            entries.append(("theta", f"{theta:.12g}"))
-        entries.append(("t_sep", f"{T:.12g}"))
-        _audit_conditional_path(lv, cfg.atoms[0], grid, log, lv_adj, cfg.atoms[2], T)
-    else:  # ampratio
-        lo = cfg.tau_min if cfg.tau_min is not None else 10.0
-        hi = cfg.tau_max if cfg.tau_max is not None else 18.0
-        dT = cfg.dtau if cfg.dtau is not None else (2 * math.pi / p.rabi) / 16.0
-        if lo <= 0:
-            raise BadValueError("ampratio needs a positive T grid")
-        grid = _grid(lo, hi, dT)
-        series = list(amplitude_ratio(lv, *cfg.atoms, theta, grid))
-        entries.append(("theta", f"{theta:.12g}"))
-        _audit_conditional_path(lv, cfg.atoms[0], _grid(0.0, hi, dtau), log)
-
-    entries.extend(_series_entries(cfg, grid))
-    out = _out_path(cfg, f"{cfg.command}.csv")
+    entries = [("command", kind), ("atoms", ",".join(map(str, cfg.atoms)))]
+    if kind in ("g15", "g25", "ampratio"):
+        entries.append(("theta", f"{cfg.theta:.12g}"))
+    if three_time:
+        entries.append(("t_sep", f"{cfg.t_sep:.12g}"))
+    grid = panels[0][1].tau_grid
+    entries += [("tau_min", f"{grid[0]:.12g}"), ("tau_max", f"{grid[-1]:.12g}"),
+                ("points", str(len(grid)))]
+    out = _out_path(cfg, f"{kind}.csv")
     outputs = []
-    if cfg.command == "ampratio":
-        for tag, s in zip(("max", "min", "mean"), series):
-            path = out.with_name(f"{out.stem}_{tag}{out.suffix or '.csv'}")
-            write_csv(s, path, params=p)
-            outputs.append(path)
-    else:
-        write_csv(series[0], out, params=p)
-        outputs.append(out)
+    for suffix, series, params in panels:
+        path = out if len(panels) == 1 else out.with_name(f"{out.stem}{suffix}{out.suffix or '.csv'}")
+        write_csv(series, path, params=params)
+        outputs.append(path)
     return entries, log, outputs, _manifest_path(out)
 
 
@@ -530,11 +545,9 @@ def _run_trajectories(cfg: RunConfig):
 
 def run_figure(name: str, cfg: RunConfig):
     """Produce the CSV series for one named figure recipe."""
-    if name not in FIGURES:
+    if name not in RECIPES:
         raise UnknownFigureError(f"unknown figure {name!r}")
-    p = cfg.params
-    dtau = cfg.dtau if cfg.dtau is not None else _default_dtau(p)
-    theta = cfg.theta
+    recipe = RECIPES[name]
     out_dir = Path(cfg.out) if cfg.out else Path(name)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -542,73 +555,24 @@ def run_figure(name: str, cfg: RunConfig):
         raise IoFailureError(f"cannot create {out_dir}: {exc}") from exc
 
     log = InvariantLog()
-    entries = [("command", "figure"), ("figure", name)]
+    panels = _run_recipe(recipe, cfg, log)
     outputs = []
-
-    def emit(tag, series, params):
-        path = out_dir / f"{tag}.csv"
+    for suffix, series, params in panels:
+        path = out_dir / f"{name}_{recipe.kind}_{''.join(map(str, recipe.atoms))}{suffix}.csv"
         write_csv(series, path, params=params)
         outputs.append(path)
-
-    if name == "fig2":
-        lv = build_liouvillian(p)
-        grid = _grid(0.0, 25.0, dtau)
-        emit("fig2_g2_12", g2(lv, 1, 2, grid), p)
-        _audit_conditional_path(lv, 1, grid, log)
-    elif name == "fig3a":
-        lv = build_liouvillian(p)
-        grid = _grid(-25.0, 25.0, dtau)
-        emit("fig3a_g15_11", g15(lv, 1, 1, theta, grid), p)
-        _audit_conditional_path(lv, 1, grid, log)
-    elif name == "fig3b":
-        grid = _grid(-25.0, 25.0, dtau)
-        for v12 in (0.0, 0.5, 1.0):
-            panel = replace(p, v12=v12)
-            lv = build_liouvillian(panel)
-            emit(f"fig3b_g15_12_v{v12:g}", g15(lv, 1, 2, theta, grid), panel)
-            _audit_conditional_path(lv, 1, grid, log)
-    elif name in ("fig4", "fig5", "fig6", "fig7"):
-        lv = build_liouvillian(p)
-        lv_adj = build_adjoint_liouvillian(p)
-        three_time = {"fig4": ("g3", (1, 1, 2), (5.0, 10.0, 15.0)),
-                      "fig5": ("g3", (1, 2, 2), (5.0, 10.0, 15.0)),
-                      "fig6": ("g25", (1, 1, 2), (5.0, 10.0, 20.0)),
-                      "fig7": ("g25", (1, 2, 2), (5.0, 10.0, 20.0))}
-        kind, atoms, Ts = three_time[name]
-        for T in Ts:
-            grid = _grid(0.0, T, dtau)
-            if kind == "g3":
-                series = g3(lv, *atoms, grid, T)
-            else:
-                series = g25(lv, *atoms, theta, grid, T)
-            emit(f"{name}_{kind}_{''.join(map(str, atoms))}_T{T:g}", series, p)
-            _audit_conditional_path(lv, atoms[0], grid, log, lv_adj, atoms[2], T)
-    else:  # fig8
-        lv = build_liouvillian(p)
-        dT = (2 * math.pi / p.rabi) / 16.0
-        Ts = _grid(10.0, 18.0, dT)
-        hi, lo, mean = amplitude_ratio(lv, 1, 2, 2, theta, Ts)
-        for tag, s in (("max", hi), ("min", lo), ("mean", mean)):
-            emit(f"fig8_ampratio_122_{tag}", s, p)
-        _audit_conditional_path(lv, 1, _grid(0.0, float(Ts[-1]), dtau), log)
-
-    entries.append(("outputs", ";".join(str(o.name) for o in outputs)))
-    return entries, log, outputs, out_dir / f"{name}.manifest"
+    return [("command", "figure"), ("figure", name)], log, outputs, out_dir / f"{name}.manifest"
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a resolved configuration; returns the process exit code."""
     t0 = time.monotonic()
-    if cfg.command == "steady":
-        entries, log, outputs, manifest = _run_steady(cfg)
-    elif cfg.command == "spectrum":
-        entries, log, outputs, manifest = _run_spectrum(cfg)
-    elif cfg.command == "figure":
+    if cfg.command == "figure":
         entries, log, outputs, manifest = run_figure(cfg.figure, cfg)
-    elif cfg.command == "trajectories":
-        entries, log, outputs, manifest = _run_trajectories(cfg)
     else:
-        entries, log, outputs, manifest = _run_series_command(cfg)
+        handler = {"steady": _run_steady, "spectrum": _run_spectrum,
+                   "trajectories": _run_trajectories}.get(cfg.command, _run_series_command)
+        entries, log, outputs, manifest = handler(cfg)
 
     head = [("tool", "rydcorr"), ("version", __version__)]
     for part in _params_echo(cfg.params).split(";"):

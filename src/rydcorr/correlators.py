@@ -37,8 +37,8 @@ from .errors import (
     UnorderedEventsError,
     ZeroEmissionRateError,
 )
-from .liouville import DIM_PAIR, Liouvillian, steady_state
-from .model import PairOperator, sigma
+from .liouville import DIM_PAIR, Liouvillian, chain, steady_state
+from .model import PairOperator, identity_pair, sigma
 
 __all__ = [
     "EventInsertion",
@@ -79,8 +79,7 @@ def count_event(time: float, atom: int) -> EventInsertion:
 
 def amplitude_event(time: float, atom: int) -> EventInsertion:
     """One-sided amplitude insertion: X -> X s21 (identity on the left)."""
-    eye = PairOperator(np.eye(DIM_PAIR, dtype=complex), label="I")
-    return EventInsertion(time, left=eye, right=sigma(atom, 2, 1))
+    return EventInsertion(time, left=identity_pair(), right=sigma(atom, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -186,24 +185,6 @@ def _check_grid(grid, lo=None, hi=None):
     return g
 
 
-def _forward_chain(lv: Liouvillian, x0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Vectorized states at the grid times, evolved from x0 at time grid[0] - grid[0].
-
-    Returns an array of shape (len(grid), 81); grid[0] may be > 0, in which
-    case the first entry is x0 propagated by grid[0].
-    """
-    out = np.empty((grid.size, DIM_PAIR * DIM_PAIR), dtype=complex)
-    v = algebra.vectorize(x0)
-    prev = 0.0
-    for n, t in enumerate(grid):
-        dt = t - prev
-        if dt > 0:
-            v = lv.propagator(dt) @ v
-        out[n] = v
-        prev = t
-    return out
-
-
 def _suffix_propagate(lv: Liouvillian, rows: np.ndarray, grid: np.ndarray, t_end: float) -> np.ndarray:
     """Finish each row's evolution from its own grid time to t_end.
 
@@ -222,19 +203,53 @@ def _suffix_propagate(lv: Liouvillian, rows: np.ndarray, grid: np.ndarray, t_end
     return w
 
 
-def _real_with_guard(values: np.ndarray, what: str) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 1.0)
-    worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
+def _stationary_norm(rho: np.ndarray, counts, amplitude=None) -> float:
+    """Product of the stationary count rates of the atoms in ``counts`` and,
+    for ``amplitude = (j, theta)``, the mean quadrature of atom j."""
+    norm = 1.0
+    for atom in counts:
+        norm *= _emission_rate(rho, atom)
+    if amplitude is not None:
+        norm *= _quadrature_mean(rho, *amplitude)
+    return norm
+
+
+def _normalized(raw: np.ndarray, norm: float, theta: float | None, what: str) -> np.ndarray:
+    """Raw traces over the stationary norm: amplitude traces are projected on
+    the theta quadrature, intensity traces (theta None) must be real."""
+    if theta is not None:
+        return (np.exp(1j * theta) * raw).real / norm
+    scale = max(1.0, float(np.max(np.abs(raw.real))) if raw.size else 1.0)
+    worst = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
     if worst > IMAG_RESIDUE_TOL * scale:
         raise InvariantViolationError(f"{what}: imaginary residue {worst:.3e} exceeds tolerance")
-    return values.real.copy()
+    return raw.real / norm
 
 
-def _sandwich_traces(obs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Tr(obs @ devec(row)) for every row, without materializing the matrices."""
+def _insertion(atom: int, theta: float | None) -> np.ndarray:
+    """Superoperator of a count (theta None) or an amplitude insertion on one
+    atom: X -> left @ X @ right is kron(right.T, left) on column-stacked X."""
+    ev = count_event(0.0, atom) if theta is None else amplitude_event(0.0, atom)
+    return algebra.kron(ev.right.matrix.T, ev.left.matrix)
+
+
+def _regression(lv: Liouvillian, rho: np.ndarray, first: EventInsertion, grid: np.ndarray,
+                probe: np.ndarray, mid: np.ndarray | None = None,
+                T: float | None = None) -> np.ndarray:
+    """The insertion kernel: raw traces Tr(probe @ X) along a delay grid.
+
+    ``first`` is applied to rho at delay 0 and the result is propagated to
+    each grid point. Without ``mid`` the probe is read there; with it, the
+    insertion superoperator ``mid`` acts on every grid point at once and each
+    row is propagated on to T before the probe is read. Event times are
+    ignored: the grid places the insertions.
+    """
+    x0 = first.left.matrix @ rho @ first.right.matrix
+    rows = chain(lv, x0, np.diff(grid, prepend=0.0))
+    if mid is not None:
+        rows = _suffix_propagate(lv, rows @ mid.T, grid, T)
     # Tr(A @ X) = vec(A.T) . vec(X) under column stacking
-    probe = obs.T.flatten(order="F")
-    return rows @ probe
+    return rows @ probe.T.flatten(order="F")
 
 
 # --- named correlators -----------------------------------------------------
@@ -243,12 +258,9 @@ def g2(lv: Liouvillian, i: int, j: int, tau_grid) -> CorrelationSeries:
     """Intensity-intensity correlation: count on atom i, count on atom j a delay tau later."""
     grid = _check_grid(tau_grid, lo=0.0)
     rho = steady_state(lv)
-    p_i = _emission_rate(rho, i)
-    p_j = _emission_rate(rho, j)
-    jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix
-    rows = _forward_chain(lv, jumped, grid)
-    raw = _sandwich_traces(sigma(j, 2, 2).matrix, rows)
-    vals = _real_with_guard(raw, f"g2_{i}{j}") / (p_i * p_j)
+    norm = _stationary_norm(rho, (i, j))
+    raw = _regression(lv, rho, count_event(0.0, i), grid, sigma(j, 2, 2).matrix)
+    vals = _normalized(raw, norm, None, f"g2_{i}{j}")
     return CorrelationSeries(kind="g2", atoms=(i, j), tau_grid=grid, values=vals)
 
 
@@ -261,70 +273,47 @@ def g15(lv: Liouvillian, i: int, j: int, theta: float, tau_grid) -> CorrelationS
     """
     grid = _check_grid(tau_grid)
     rho = steady_state(lv)
-    p_i = _emission_rate(rho, i)
-    q_j = _quadrature_mean(rho, j, theta)
-    phase = np.exp(1j * theta)
-    s21_j = sigma(j, 2, 1).matrix
+    norm = _stationary_norm(rho, (i,), (j, theta))
 
     vals = np.empty(grid.size, dtype=float)
     pos = grid >= 0
     if np.any(pos):
-        jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix
-        rows = _forward_chain(lv, jumped, grid[pos])
-        raw = _sandwich_traces(s21_j, rows)
-        vals[pos] = (phase * raw).real / (p_i * q_j)
+        raw = _regression(lv, rho, count_event(0.0, i), grid[pos], sigma(j, 2, 1).matrix)
+        vals[pos] = _normalized(raw, norm, theta, f"g15_{i}{j}")
     neg = ~pos
     if np.any(neg):
         # amplitude first: evolve rho_ss @ s21_j forward by |tau|
-        s_grid = -grid[neg][::-1]
-        rows = _forward_chain(lv, rho @ s21_j, s_grid)
-        raw = _sandwich_traces(sigma(i, 2, 2).matrix, rows)
-        vals[neg] = ((phase * raw).real / (p_i * q_j))[::-1]
+        raw = _regression(lv, rho, amplitude_event(0.0, j), -grid[neg][::-1],
+                          sigma(i, 2, 2).matrix)
+        vals[neg] = _normalized(raw, norm, theta, f"g15_{i}{j}")[::-1]
     return CorrelationSeries(kind="g15", atoms=(i, j), tau_grid=grid, values=vals, theta=theta)
+
+
+def _three_time(lv, i, j, k, theta, tau_grid, T) -> CorrelationSeries:
+    """Counts on atoms i and k at t and t+T bracketing, at t+tau, a count on
+    atom j (theta None: g3) or its theta-quadrature amplitude (g25)."""
+    grid = _check_grid(tau_grid, lo=0.0, hi=T)
+    rho = steady_state(lv)
+    if theta is None:
+        kind, norm = "g3", _stationary_norm(rho, (i, j, k))
+    else:
+        kind, norm = "g25", _stationary_norm(rho, (i, k), (j, theta))
+    raw = _regression(lv, rho, count_event(0.0, i), grid, sigma(k, 2, 2).matrix,
+                      mid=_insertion(j, theta), T=T)
+    vals = _normalized(raw, norm, theta, f"{kind}_{i}{j}{k}")
+    return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
+                             theta=theta, T=T)
 
 
 def g3(lv: Liouvillian, i: int, j: int, k: int, tau_grid, T: float) -> CorrelationSeries:
     """Three-time intensity correlation: counts on atoms i, j, k at t, t+tau, t+T."""
-    grid = _check_grid(tau_grid, lo=0.0, hi=T)
-    rho = steady_state(lv)
-    norm = _emission_rate(rho, i) * _emission_rate(rho, j) * _emission_rate(rho, k)
-    s12_j = sigma(j, 1, 2).matrix
-    s21_j = sigma(j, 2, 1).matrix
-
-    jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix
-    states = _forward_chain(lv, jumped, grid)
-    rows = np.empty_like(states)
-    for n in range(grid.size):
-        x = algebra.devectorize(states[n], DIM_PAIR, DIM_PAIR)
-        rows[n] = algebra.vectorize(s12_j @ x @ s21_j)
-    rows = _suffix_propagate(lv, rows, grid, T)
-    raw = _sandwich_traces(sigma(k, 2, 2).matrix, rows)
-    vals = _real_with_guard(raw, f"g3_{i}{j}{k}") / norm
-    return CorrelationSeries(kind="g3", atoms=(i, j, k), tau_grid=grid, values=vals, T=T)
+    return _three_time(lv, i, j, k, None, tau_grid, T)
 
 
 def g25(lv: Liouvillian, i: int, j: int, k: int, theta: float, tau_grid, T: float) -> CorrelationSeries:
     """Intensity-amplitude-intensity correlation: counts at t and t+T bracket an
     amplitude measurement on atom j at t+tau."""
-    grid = _check_grid(tau_grid, lo=0.0, hi=T)
-    rho = steady_state(lv)
-    p_i = _emission_rate(rho, i)
-    p_k = _emission_rate(rho, k)
-    q_j = _quadrature_mean(rho, j, theta)
-    phase = np.exp(1j * theta)
-    s21_j = sigma(j, 2, 1).matrix
-
-    jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix
-    states = _forward_chain(lv, jumped, grid)
-    rows = np.empty_like(states)
-    for n in range(grid.size):
-        x = algebra.devectorize(states[n], DIM_PAIR, DIM_PAIR)
-        rows[n] = algebra.vectorize(x @ s21_j)
-    rows = _suffix_propagate(lv, rows, grid, T)
-    raw = _sandwich_traces(sigma(k, 2, 2).matrix, rows)
-    vals = (phase * raw).real / (p_i * p_k * q_j)
-    return CorrelationSeries(kind="g25", atoms=(i, j, k), tau_grid=grid, values=vals,
-                             theta=theta, T=T)
+    return _three_time(lv, i, j, k, theta, tau_grid, T)
 
 
 def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_grid,

@@ -43,6 +43,7 @@ __all__ = [
     "build_adjoint_liouvillian",
     "steady_state",
     "propagate",
+    "chain",
     "spectrum",
     "apply_generator",
     "state_residuals",
@@ -188,6 +189,23 @@ def propagate(lv: Liouvillian, x: np.ndarray, t: float) -> np.ndarray:
     if t == 0:
         return x.copy()
     return algebra.devectorize(lv.propagator(t) @ algebra.vectorize(x), DIM_PAIR, DIM_PAIR)
+
+
+def chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
+    """March a 9x9 matrix through successive durations, one row per step.
+
+    Row n is vec(x0) propagated by steps[0] + ... + steps[n]; a zero step
+    repeats the previous row without an exponential. A forward grid marches
+    with ``np.diff(grid, prepend=0.0)``; a backward march from T to the grid
+    uses ``[T - grid[-1], *np.diff(grid)[::-1]]`` and reads the rows reversed.
+    """
+    out = np.empty((len(steps), DIM_SUPER), dtype=complex)
+    v = algebra.vectorize(x0)
+    for n, dt in enumerate(steps):
+        if dt > 0:
+            v = lv.propagator(dt) @ v
+        out[n] = v
+    return out
 
 
 @dataclass(frozen=True)

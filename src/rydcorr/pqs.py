@@ -26,17 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra
 from .correlators import (
     CorrelationSeries,
     _check_grid,
     _emission_rate,
-    _forward_chain,
-    _quadrature_mean,
-    _real_with_guard,
+    _insertion,
+    _normalized,
+    _stationary_norm,
 )
-from .errors import NegativeDurationError, ZeroEmissionRateError, ZeroHistoryProbabilityError
-from .liouville import DIM_PAIR, Liouvillian, propagate, steady_state
+from .errors import NegativeDurationError, ZeroHistoryProbabilityError
+from .liouville import DIM_PAIR, Liouvillian, chain, propagate, steady_state
 from .model import PairOperator, sigma
 
 __all__ = [
@@ -99,10 +98,7 @@ class ConditionalPair:
 def forward_after_click(lv: Liouvillian, i: int, tau: float) -> np.ndarray:
     """Normalized conditional state a time tau after a count on atom i in steady state."""
     rho = steady_state(lv)
-    p = np.trace(sigma(i, 2, 2).matrix @ rho).real
-    if p < 1e-14:
-        raise ZeroEmissionRateError(f"click probability on atom {i} is {p:.3e}")
-    jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / p
+    jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / _emission_rate(rho, i)
     return propagate(lv, jumped, tau)
 
 
@@ -156,62 +152,34 @@ def pqs_conditional_amplitude(pair: ConditionalPair, j: int, theta: float) -> fl
     return float((np.exp(1j * theta) * raw).real / weight)
 
 
-def _effect_chain(lv_adj: Liouvillian, k: int, grid: np.ndarray, T: float) -> np.ndarray:
-    """Vectorized effect matrices at the grid times, marched backward from T."""
-    rows = np.empty((grid.size, DIM_PAIR * DIM_PAIR), dtype=complex)
-    v = algebra.vectorize(sigma(k, 2, 2).matrix)
-    tail = T - grid[-1]
-    if tail > 0:
-        v = lv_adj.propagator(tail) @ v
-    rows[-1] = v
-    for n in range(grid.size - 2, -1, -1):
-        dt = grid[n + 1] - grid[n]
-        if dt > 0:
-            v = lv_adj.propagator(dt) @ v
-        rows[n] = v
-    return rows
-
-
-def _pqs_three_time(lv, lv_adj, i, k, tau_grid, T):
+def _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T) -> CorrelationSeries:
+    """g3 (theta None) or g25 from Tr(E @ O_j(rho_c)) along the grid, where the
+    insertion O_j is a count or an amplitude measurement on atom j."""
     grid = _check_grid(tau_grid, lo=0.0, hi=T)
     rho = steady_state(lv)
-    p_i = _emission_rate(rho, i)
-    jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / p_i
-    states = _forward_chain(lv, jumped, grid)
-    effects = _effect_chain(lv_adj, k, grid, T)
-    return grid, rho, states, effects
+    jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / _emission_rate(rho, i)
+    if theta is None:
+        kind, norm = "g3", _stationary_norm(rho, (j, k))
+    else:
+        kind, norm = "g25", _stationary_norm(rho, (k,), (j, theta))
+    states = chain(lv, jumped, np.diff(grid, prepend=0.0))
+    effects = chain(lv_adj, sigma(k, 2, 2).matrix, np.r_[T - grid[-1], np.diff(grid)[::-1]])[::-1]
+    inserted = states @ _insertion(j, theta).T
+    # Tr(E @ X) per row; a C-order reshape of a column-stacked row is the transpose
+    square = (-1, DIM_PAIR, DIM_PAIR)
+    raw = np.einsum("nab,nba->n", effects.reshape(square), inserted.reshape(square))
+    vals = _normalized(raw, norm, theta, f"{kind}_pqs_{i}{j}{k}")
+    return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
+                             theta=theta, T=T)
 
 
 def g3_via_pqs(lv: Liouvillian, lv_adj: Liouvillian, i: int, j: int, k: int,
                tau_grid, T: float) -> CorrelationSeries:
     """Three-time intensity correlator evaluated from the (rho_c, E) pair."""
-    grid, rho, states, effects = _pqs_three_time(lv, lv_adj, i, k, tau_grid, T)
-    p_j = _emission_rate(rho, j)
-    p_k = _emission_rate(rho, k)
-    s12_j = sigma(j, 1, 2).matrix
-    s21_j = sigma(j, 2, 1).matrix
-    raw = np.empty(grid.size, dtype=complex)
-    for n in range(grid.size):
-        rho_c = algebra.devectorize(states[n], DIM_PAIR, DIM_PAIR)
-        eff = algebra.devectorize(effects[n], DIM_PAIR, DIM_PAIR)
-        raw[n] = np.trace(s12_j @ rho_c @ s21_j @ eff)
-    vals = _real_with_guard(raw, f"g3_pqs_{i}{j}{k}") / (p_j * p_k)
-    return CorrelationSeries(kind="g3", atoms=(i, j, k), tau_grid=grid, values=vals, T=T)
+    return _pqs_three_time(lv, lv_adj, i, j, k, None, tau_grid, T)
 
 
 def g25_via_pqs(lv: Liouvillian, lv_adj: Liouvillian, i: int, j: int, k: int,
                 theta: float, tau_grid, T: float) -> CorrelationSeries:
     """Intensity-amplitude-intensity correlator evaluated from the (rho_c, E) pair."""
-    grid, rho, states, effects = _pqs_three_time(lv, lv_adj, i, k, tau_grid, T)
-    p_k = _emission_rate(rho, k)
-    q_j = _quadrature_mean(rho, j, theta)
-    phase = np.exp(1j * theta)
-    s21_j = sigma(j, 2, 1).matrix
-    raw = np.empty(grid.size, dtype=complex)
-    for n in range(grid.size):
-        rho_c = algebra.devectorize(states[n], DIM_PAIR, DIM_PAIR)
-        eff = algebra.devectorize(effects[n], DIM_PAIR, DIM_PAIR)
-        raw[n] = np.trace(eff @ rho_c @ s21_j)
-    vals = (phase * raw).real / (p_k * q_j)
-    return CorrelationSeries(kind="g25", atoms=(i, j, k), tau_grid=grid, values=vals,
-                             theta=theta, T=T)
+    return _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T)

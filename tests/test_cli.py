@@ -28,6 +28,10 @@ def filtered_manifest(path):
     return "\n".join(keep)
 
 
+def manifest_keys(path):
+    return [line.split(" = ", 1)[0] for line in path.read_text().splitlines()]
+
+
 def test_defaults_are_reference_parameters():
     cfg = cli.parse_config(["g2"])
     p = cfg.params
@@ -120,6 +124,37 @@ def test_fig2_output_structure(tmp_path):
     assert data[-1, 1] < 1e-4 * data[0, 1]
     manifest = (out / "fig2.manifest").read_text()
     assert "invariant.overall = pass" in manifest
+
+
+def test_manifest_keys_are_unique(tmp_path):
+    assert cli.main(["figure", "fig2", "--out", str(tmp_path / "fig2")]) == 0
+    assert cli.main(["g2", "--tau-max", "3", "--out", str(tmp_path / "g2.csv")]) == 0
+    for manifest in (tmp_path / "fig2" / "fig2.manifest", tmp_path / "g2.manifest"):
+        keys = manifest_keys(manifest)
+        assert len(keys) == len(set(keys)), manifest.name
+
+
+@pytest.mark.parametrize("argv, theta, t_sep, outputs", [
+    (["g15", "--tau-min", "-1", "--tau-max", "1"], True, False, ["g15.csv"]),
+    (["g3", "--t-sep", "2"], False, True, ["g3.csv"]),
+    (["g25", "--t-sep", "2"], True, True, ["g25.csv"]),
+    (["ampratio", "--tau-min", "10", "--tau-max", "10.5"], True, False,
+     ["ampratio_max.csv", "ampratio_min.csv", "ampratio_mean.csv"]),
+])
+def test_series_commands(tmp_path, argv, theta, t_sep, outputs):
+    out = tmp_path / f"{argv[0]}.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    manifest = tmp_path / f"{argv[0]}.manifest"
+    entries = dict(line.split(" = ", 1) for line in manifest.read_text().splitlines())
+    assert ("theta" in entries) == theta
+    assert ("t_sep" in entries) == t_sep
+    assert entries["outputs"] == ";".join(str(tmp_path / name) for name in outputs)
+    _, data = read_series(tmp_path / outputs[0])
+    assert int(entries["points"]) == len(data)
+    assert float(entries["tau_min"]) == data[0, 0] and float(entries["tau_max"]) == data[-1, 0]
+    assert entries["invariant.overall"] == "pass"
+    keys = manifest_keys(manifest)
+    assert len(keys) == len(set(keys))
 
 
 def test_fig3b_uncoupled_panel_is_unity(tmp_path):

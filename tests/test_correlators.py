@@ -143,6 +143,32 @@ def test_g3_zero_delay_matches_double_insertion(lv, rho_ss):
     assert series.values[0] == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["g3", "g25"])
+@pytest.mark.parametrize("atoms", [(1, 2, 2), (1, 1, 2)], ids=["122", "112"])
+@pytest.mark.parametrize("T", [5.0, 10.0])
+@pytest.mark.parametrize("n", [0, 2, 3, 6], ids=["tau0", "tauT_3", "tauT_2", "tauT"])
+def test_three_time_matches_pointwise_insertion(lv, rho_ss, kind, atoms, T, n):
+    """The batched kernel against the pointwise reference at one delay of a
+    7-point grid (n = 0, 2, 3, 6 is tau = 0, T/3, T/2, T), at 1e-10 relative
+    against a floor of 1e-5 of the series peak."""
+    i, j, k = atoms
+    grid = np.linspace(0.0, T, 7)
+    tau = grid[n]
+    p_i, p_k = steady_population(rho_ss, i), steady_population(rho_ss, k)
+    if kind == "g3":
+        series = g3(lv, i, j, k, grid, T)
+        middle, phase = count_event(tau, j), 1.0
+        norm = p_i * steady_population(rho_ss, j) * p_k
+    else:
+        series = g25(lv, i, j, k, THETA, grid, T)
+        middle, phase = amplitude_event(tau, j), np.exp(1j * THETA)
+        norm = p_i * p_k * (phase * np.trace(sigma(j, 2, 1).matrix @ rho_ss)).real
+    raw = multitime_correlator(lv, rho_ss, [count_event(0.0, i), middle], sigma(k, 2, 2), t_obs=T)
+    direct = (phase * raw).real / norm
+    floor = 1e-5 * np.max(np.abs(series.values))
+    assert abs(series.values[n] - direct) <= 1e-10 * max(abs(direct), floor)
+
+
 def test_g3_large_separation_reduces_to_two_time(lv, params):
     T = 60.0
     taus = default_grid(params, 0.0, 5.0)
