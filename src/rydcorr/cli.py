@@ -439,6 +439,13 @@ def _run_series_command(cfg: RunConfig):
     if kind == "ampratio" and lo <= 0:
         raise BadValueError("ampratio needs a positive T grid")
     three_time = kind in ("g3", "g25")
+    if three_time:
+        hi = cfg.t_sep if hi is None else hi
+        if lo < 0 or hi > cfg.t_sep:
+            raise BadValueError(f"{kind} needs 0 <= tau <= t_sep = {cfg.t_sep:g}, "
+                                f"got [{lo:g}, {hi:g}]")
+    if hi <= lo:
+        raise BadValueError(f"tau_max {hi:g} must exceed tau_min {lo:g}")
     recipe = Recipe(kind, cfg.atoms, Ts=(cfg.t_sep,) if three_time else (None,), window=(lo, hi))
     log = InvariantLog()
     panels = _run_recipe(recipe, cfg, log, dT=cfg.dtau)

@@ -11,6 +11,15 @@ seed s draws from Philox4x64-10 keyed by the 128-bit pair (s, n), consuming
 exactly one uniform per step, so batches are reproducible bit-for-bit for a
 fixed (seed, params, duration, step) regardless of how the loop is chunked.
 
+Stepping is thinned (Lewis & Shedler, 1979): a step jumps only when its
+uniform lies below the jump probability of the current state, which for a
+normalized state never exceeds the largest diagonal jump weight. Every
+uniform is drawn, but only those below that bound send their step through
+the jump test; the states between candidates come from cached powers of the
+no-jump propagator. The uniforms and the jump rule are those of step-by-step
+integration, so the clicks are too, unless a uniform falls within roundoff
+of its step's jump probability.
+
 The ensemble is an independent statistical oracle for the regression engine:
 ``estimate_g2`` turns recorded click pairs into a normalized delay histogram
 with stationary-window edge correction and per-bin standard errors.
@@ -43,7 +52,7 @@ __all__ = [
 
 CLICK_CHANNELS = (0, 3)  # C1 of atom 1, C1 of atom 2 in the fixed channel order
 MAX_JUMP_PROBABILITY = 0.1
-RNG_CHUNK_STEPS = 2048
+RNG_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,15 @@ def _ground_state() -> np.ndarray:
     return psi
 
 
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def _apply_powers(states: np.ndarray, powers: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Row ``n`` of ``states`` times ``powers[k[n]]``."""
+    return np.matmul(states[:, None, :], powers[k])[:, 0, :]
+
+
 def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
              count: int = 1, initial: np.ndarray | None = None,
              sample_every: int | None = None) -> TrajectoryBatch:
@@ -108,6 +126,17 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     ``initial`` is a normalized 9-component state vector (default: both atoms
     in the ground state). Population statistics are sampled every
     ``sample_every`` steps (default: ~200 samples per run).
+
+    Step s of a trajectory jumps when its uniform u_s is below
+    p_tot(s) = sum_c dt <psi_s|C_c^+ C_c|psi_s>, on the channel where the
+    cumulative channel weights first exceed u_s; otherwise the state moves
+    by U_eff = exp(-i H_eff dt) and is renormalized. Since psi_s is
+    normalized, p_tot(s) never exceeds the largest diagonal weight, so only
+    steps whose uniform lies below that bound are evaluated (thinning). The
+    run is cut into blocks at every sample step and RNG chunk edge; within a
+    block each trajectory's state at a candidate step is its state at its
+    last jump (or the block start) times a cached power of U_eff, and the
+    block ends with one matrix product per trajectory.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -138,6 +167,9 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     jump_ops_t = [np.ascontiguousarray(c.T) for c in cs]
     total_weight = rate_weights.sum(axis=0) * dt  # (9,)
     channel_weight = rate_weights * dt            # (6, 9)
+    # a normalized state jumps with probability at most the largest weight;
+    # the relative margin covers the roundoff of |psi|^2 summing to one
+    p_bound = float(total_weight.max()) * (1 + 1e-9)
 
     if initial is None:
         psi0 = _ground_state()
@@ -152,6 +184,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
 
     if sample_every is None:
         sample_every = max(1, n_steps // 200)
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
 
     atom1_groups = [slice(3 * l, 3 * l + 3) for l in range(3)]
     atom2_idx = [np.arange(l, DIM_PAIR, 3) for l in range(3)]
@@ -161,11 +195,6 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
         for t in range(count)
     ]
 
-    psi = np.tile(psi0, (count, 1))
-    click_traj: list[np.ndarray] = []
-    click_channel: list[np.ndarray] = []
-    click_time: list[float] = []
-
     sample_times = []
     mean_rows = {"atom1": [], "atom2": []}
     sem_rows = {"atom1": [], "atom2": []}
@@ -173,7 +202,7 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     late_samples = 0
     half_time = duration / 2.0
 
-    def take_sample(t_now):
+    def take_sample(t_now, psi):
         nonlocal late_samples
         absq = psi.real ** 2 + psi.imag ** 2
         sample_times.append(t_now)
@@ -190,53 +219,78 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
             if late:
                 late_sums[name] += pops
 
-    uniforms = np.empty((count, min(RNG_CHUNK_STEPS, n_steps)))
-    chunk_start = 0
-    chunk_len = 0
-    for s in range(n_steps):
-        if s % sample_every == 0:
-            take_sample(s * dt)
-        if s - chunk_start >= chunk_len:
-            chunk_start = s
-            chunk_len = min(RNG_CHUNK_STEPS, n_steps - s)
-            for n, gen in enumerate(generators):
-                uniforms[n, :chunk_len] = gen.random(chunk_len)
-        u = uniforms[:, s - chunk_start]
+    # blocks end at every sample step and every RNG chunk edge, so none is
+    # longer than either period; powers[k] = U_eff^k acting on row vectors
+    edges = np.union1d(np.arange(0, n_steps, sample_every),
+                       np.arange(0, n_steps, RNG_CHUNK_STEPS)).tolist() + [n_steps]
+    powers = np.empty((min(RNG_CHUNK_STEPS, sample_every, n_steps) + 1, DIM_PAIR, DIM_PAIR),
+                      dtype=complex)
+    powers[0] = np.eye(DIM_PAIR)
+    for k in range(1, powers.shape[0]):
+        powers[k] = powers[k - 1] @ u_eff_t
 
-        absq = psi.real ** 2 + psi.imag ** 2
-        p_tot = absq @ total_weight
-        jumped = u < p_tot
-        if jumped.any():
-            rows = np.nonzero(jumped)[0]
-            cum = np.cumsum(absq[rows] @ channel_weight.T, axis=1)
-            channel = (u[rows, None] < cum).argmax(axis=1)
-            t_click = (s + 1) * dt
+    psi = np.tile(psi0, (count, 1))
+    uniforms = np.empty((count, min(RNG_CHUNK_STEPS, n_steps)))
+    clicks = []  # (trajectory, step, channel) arrays, one per jump round
+    for b0, b1 in zip(edges[:-1], edges[1:]):
+        if b0 % sample_every == 0:
+            take_sample(b0 * dt, psi)
+        chunk_start = b0 - b0 % RNG_CHUNK_STEPS
+        if b0 == chunk_start:
+            # one uniform per step and trajectory; a Philox stream does not
+            # depend on how its draws are chunked
+            chunk_len = min(RNG_CHUNK_STEPS, n_steps - b0)
+            for row, gen in zip(uniforms, generators):
+                gen.random(out=row[:chunk_len])
+        u = uniforms[:, b0 - chunk_start:b1 - chunk_start]
+
+        # candidates: the only steps whose uniform can fall below p_tot,
+        # ordered by trajectory, then step (block-relative)
+        rows, offs = np.nonzero(u < p_bound)
+        # psi[n] stays the normalized state of trajectory n at block step origin[n]
+        origin = np.zeros(count, dtype=np.intp)
+        while rows.size:
+            phi = _normalized(_apply_powers(psi[rows], powers, offs - origin[rows]))
+            absq = phi.real ** 2 + phi.imag ** 2
+            u_c = u[rows, offs]
+            hit = np.nonzero(u_c < absq @ total_weight)[0]
+            if hit.size == 0:
+                break
+            # the first hit of each trajectory is a jump; its later
+            # candidates are evaluated again from the post-jump state
+            hit = hit[np.r_[True, rows[hit][1:] != rows[hit][:-1]]]
+            cum = np.cumsum(absq[hit] @ channel_weight.T, axis=1)
+            channel = (u_c[hit, None] < cum).argmax(axis=1)
             for c in np.unique(channel):
-                rr = rows[channel == c]
-                phi = psi[rr] @ jump_ops_t[c]
-                norms = np.linalg.norm(phi, axis=1)
+                sel = hit[channel == c]
+                jumped = phi[sel] @ jump_ops_t[c]
+                norms = np.linalg.norm(jumped, axis=1)
                 if np.any(norms < 1e-150):
                     raise NormUnderflowError(f"jump on channel {c} produced a null state")
-                psi[rr] = phi / norms[:, None]
-                if c in CLICK_CHANNELS:
-                    click_traj.append(rr.copy())
-                    click_channel.append(np.full(rr.size, c, dtype=np.int64))
-                    click_time.append(t_click)
-            rest = ~jumped
-            if rest.any():
-                sub = psi[rest] @ u_eff_t
-                sub /= np.linalg.norm(sub, axis=1)[:, None]
-                psi[rest] = sub
-        else:
-            psi = psi @ u_eff_t
-            psi /= np.linalg.norm(psi, axis=1)[:, None]
-    take_sample(n_steps * dt)
+                psi[rows[sel]] = jumped / norms[:, None]
+            jump_rows, jump_offs = rows[hit], offs[hit]
+            origin[jump_rows] = jump_offs + 1
+            is_click = np.isin(channel, CLICK_CHANNELS)
+            clicks.append((jump_rows[is_click], b0 + jump_offs[is_click], channel[is_click]))
+            last_jump = np.full(count, b1 - b0)
+            last_jump[jump_rows] = jump_offs
+            later = offs > last_jump[rows]
+            rows, offs = rows[later], offs[later]
+
+        end = psi @ powers[b1 - b0]
+        moved = np.nonzero(origin)[0]
+        if moved.size:
+            end[moved] = _apply_powers(psi[moved], powers, b1 - b0 - origin[moved])
+        psi = _normalized(end)
+    take_sample(n_steps * dt, psi)
 
     per_traj: list[list[ClickRecord]] = [[] for _ in range(count)]
-    for rr, chs, t_click in zip(click_traj, click_channel, click_time):
-        for idx, c in zip(rr, chs):
-            per_traj[idx].append(ClickRecord(channel=int(c), atom=_channel_atom(int(c)),
-                                             time=float(t_click)))
+    if clicks:
+        traj, steps, chans = (np.concatenate(x) for x in zip(*clicks))
+        order = np.lexsort((steps, traj))
+        times = (steps[order] + 1) * dt
+        for idx, c, t_click in zip(traj[order].tolist(), chans[order].tolist(), times.tolist()):
+            per_traj[idx].append(ClickRecord(channel=c, atom=_channel_atom(c), time=t_click))
     records = tuple(tuple(lst) for lst in per_traj)
 
     return TrajectoryBatch(
@@ -285,17 +339,16 @@ def estimate_g2(batch: TrajectoryBatch, i: int, j: int, tau_grid, bin_width: flo
             "widen the bins or run more trajectories"
         )
 
-    counts = np.zeros(centers.size)
     lo = centers - bin_width / 2.0
     hi = centers + bin_width / 2.0
+    delays = [np.zeros(0)]
     for ta, tb in zip(clicks_i, clicks_j):
         ta = ta[ta >= t_min]
-        if ta.size == 0 or tb.size == 0:
-            continue
-        delays = tb[None, :] - ta[:, None]
-        delays = delays[delays > 0]
-        if delays.size:
-            counts += ((delays[:, None] >= lo[None, :]) & (delays[:, None] < hi[None, :])).sum(axis=0)
+        d = (tb[None, :] - ta[:, None]).ravel()
+        delays.append(d[(d > 0) & (d < hi[-1])])
+    delays = np.sort(np.concatenate(delays))
+    # pairs in [lo, hi) = #(d >= lo) - #(d >= hi); both are exact comparisons
+    counts = (np.searchsorted(delays, hi) - np.searchsorted(delays, lo)).astype(float)
 
     norm = batch.count * rate_i * rate_j * bin_width * avail
     values = counts / norm

@@ -188,6 +188,18 @@ def test_exit_codes(tmp_path):
     assert cli.main(["g2", "--tau-max", "1", "--out", "/nonexistent/dir/x.csv"]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["g3", "--tau-min", "-1"],
+    ["g3", "--tau-min", "3", "--tau-max", "1"],
+    ["g25", "--t-sep", "2", "--tau-max", "5"],
+    ["g2", "--tau-min", "3", "--tau-max", "1"],
+])
+def test_bad_windows_exit_2(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_steady_and_spectrum_commands(tmp_path):
     steady_out = tmp_path / "steady.csv"
     assert cli.main(["steady", "--out", str(steady_out)]) == 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,48 @@ def test_batch_reproducibility():
     assert a.records != c.records
 
 
+HIGH_RATE = ModelParams(omega1=2.0, omega2=2.0, v12=5.0, gamma2=3.0, gamma_ph=20.0)
+DARK = ModelParams(gamma2=0.0, gamma_ph=0.0, v12=0.0)
+
+# SHA-256 of the (trajectory, channel, time) float64 records, the click count
+# and two late-half populations, (atom1 level 2 of trajectory 0, atom2 level 3
+# of the last trajectory), as the per-step v1 integrator produced them
+V1_STREAM = {
+    "seed5": (BRIGHT, dict(duration=15.0, step=0.004, seed=5, count=150), 553,
+              "3f4cb7a0aaf4feffa63bdef006100552d83e640dce3594097ad769239421bb0b",
+              0.0962290868189656, 0.20562213573916338),
+    # the jump-probability cap halves the step here
+    "high_rate": (HIGH_RATE, dict(duration=5.0, step=0.01 / HIGH_RATE.rabi, seed=11, count=100), 390,
+                  "3fde2c2640624297100864ea649cf8d3d00b31b5e1d15ee3834b6d86e9c49b7e",
+                  0.33305906739504654, 0.053248191106885494),
+    "single": (BRIGHT, dict(duration=40.0, step=0.004, seed=9, count=1), 12,
+               "0b99430148a0ae1323eaa858e07cb6f98d4d82c4de23ae41b30c15c0ddbeb15d",
+               0.11177470962944279, 0.19522246519955438),
+    # samples sparser than the RNG chunk
+    "sparse_samples": (BRIGHT, dict(duration=10.0, step=0.004, seed=13, count=60, sample_every=700), 145,
+                       "b5e92f6d0479b77313f91411d425b8aeb888ee6dd12e945066886956cbe9edaa",
+                       0.04423141669937186, 0.1280017735036395),
+    "dark": (DARK, dict(duration=20.0, step=0.0019, seed=1, count=50), 0,
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             0.0, 0.0015974440894568815),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V1_STREAM))
+def test_records_match_v1_stream(case):
+    p, kw, n_clicks, digest, late1, late2 = V1_STREAM[case]
+    if case == "dark":
+        kw = dict(kw, initial=dark_state(p)[1])
+    batch = mcwf_run(p, **kw)
+    if case == "high_rate":
+        assert batch.step < kw["step"]
+    rows = [(n, r.channel, r.time) for n, rec in enumerate(batch.records) for r in rec]
+    assert len(rows) == n_clicks
+    assert hashlib.sha256(np.array(rows, dtype=float).reshape(-1, 3).tobytes()).hexdigest() == digest
+    assert abs(batch.late_half_mean["atom1"][0, 1] - late1) < 1e-12
+    assert abs(batch.late_half_mean["atom2"][-1, 2] - late2) < 1e-12
+
+
 def test_no_lower_drive_means_no_clicks():
     p = ModelParams(omega1=0.0, omega2=2.0, v12=1.0, gamma2=0.1, gamma_ph=0.1)
     batch = mcwf_run(p, duration=20.0, step=0.004, seed=1, count=50)
@@ -66,6 +110,12 @@ def test_dark_state_emits_nothing():
 def test_step_limit_enforced():
     with pytest.raises(StepTooLargeError):
         mcwf_run(ModelParams(), duration=1.0, step=0.01, seed=1, count=1)
+
+
+@pytest.mark.parametrize("sample_every", [0, -5])
+def test_sample_period_must_be_positive(sample_every):
+    with pytest.raises(ValueError):
+        mcwf_run(BRIGHT, duration=1.0, step=0.004, seed=1, count=2, sample_every=sample_every)
 
 
 def test_click_times_strictly_increasing(bright_batch):
@@ -142,6 +192,32 @@ def test_g2_estimator_cross_matches_regression(bright_batch):
     for c, v, se in zip(centers, est.values, est.stderr):
         target = truth.values[(fine >= c - bw / 2) & (fine < c + bw / 2)].mean()
         assert abs(v - target) < 4 * se
+
+
+def test_g2_estimator_matches_brute_force_count():
+    batch = poisson_batch(rate=0.3, count=60, duration=100.0, seed=4)
+    bw, t_min = 0.4, 10.0
+    centers = np.arange(0.1, 5.0, bw)  # the first bin reaches below zero delay
+    est = estimate_g2(batch, 2, 1, centers, bw, t_min=t_min)
+    counts = np.zeros(centers.size)
+    n_i = n_j = 0
+    for rec in batch.records:
+        first = [r.time for r in rec if r.atom == 2 and r.time >= t_min]
+        second = [r.time for r in rec if r.atom == 1]
+        n_i += len(first)
+        n_j += sum(t >= t_min for t in second)
+        for ta in first:
+            for tb in second:
+                d = tb - ta
+                for k, c in enumerate(centers):
+                    if d > 0 and c - bw / 2 <= d < c + bw / 2:
+                        counts[k] += 1
+    window = batch.duration - t_min
+    norm = n_i * n_j / (batch.count * window ** 2) * bw * (window - centers)
+    assert counts.sum() > 1000
+    np.testing.assert_allclose(est.values, counts / norm, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(est.stderr, np.sqrt(np.maximum(counts, 1.0)) / norm,
+                               rtol=1e-13, atol=0)
 
 
 def test_g2_estimator_flags_thin_statistics():
