@@ -14,8 +14,8 @@ grids, tool version and the state-invariant checks performed along the run.
 Output bytes are deterministic for identical configurations; wall time and
 timestamp live on dedicated manifest lines so they can be filtered out.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-invariant failure,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error (grids over MAX_GRID_POINTS
+included), 3 numerical-invariant failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     IoFailureError,
     MissingCommandError,
     RydcorrError,
+    StepTooLargeError,
     UnknownFigureError,
     UnknownKeyError,
 )
@@ -46,17 +47,18 @@ from .liouville import (
     DIM_PAIR,
     HERMITICITY_TOL,
     STATE_EIG_FLOOR,
+    STATIONARY_EIG_TOL,
     TRACE_TOL,
     Liouvillian,
     build_adjoint_liouvillian,
     build_liouvillian,
-    chain,
     conjugation_defect,
     spectrum,
     state_residuals,
     steady_state,
 )
 from .model import ModelParams, sigma
+from .pqs import effect_chain, state_chain
 from .trajectories import mcwf_run, write_clicks_csv
 
 COMMANDS = ("steady", "spectrum", "g2", "g15", "g3", "g25", "ampratio", "figure", "trajectories")
@@ -66,6 +68,11 @@ CONFIG_KEYS = {
     "tau_min", "tau_max", "dtau", "atoms", "seed", "trajectories",
     "duration", "step", "out",
 }
+
+# largest grid a run may build: a chain of this many rows of vec(9x9) is 85 MB
+MAX_GRID_POINTS = 65_536
+# spectrum command: eigenvalue conjugation defect, stationary mode vs steady state
+SPECTRUM_MATCH_TOL = 1e-8
 
 # tau window of each series kind (for ampratio: its T window); None ends at T
 WINDOWS = {"g2": (0.0, 25.0), "g15": (-25.0, 25.0), "g3": (0.0, None), "g25": (0.0, None),
@@ -263,6 +270,8 @@ def parse_config(argv) -> RunConfig:
         raise BadValueError(f"trajectories must be >= 1, got {cfg.trajectories}")
     if cfg.duration <= 0:
         raise BadValueError(f"duration must be positive, got {cfg.duration}")
+    if cfg.step is not None and not cfg.step > 0:
+        raise BadValueError(f"step must be positive, got {cfg.step}")
     return cfg
 
 
@@ -291,25 +300,16 @@ def write_csv(series: CorrelationSeries, path, params: ModelParams | None = None
     theta = "" if series.theta is None else f"{series.theta:.12g}"
     t_sep = "" if series.T is None else f"{series.T:.12g}"
     params = _params_echo(params) if params is not None else ""
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(
-                f"# kind={series.kind}, atoms={atoms}, theta={theta}, T={t_sep}, params={params}\n"
-            )
-            fh.write("tau,value\n")
-            for t, v in zip(series.tau_grid, series.values):
-                fh.write(f"{_fmt(t)},{_fmt(v)}\n")
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {path}: {exc}") from exc
+    header = f"# kind={series.kind}, atoms={atoms}, theta={theta}, T={t_sep}, params={params}"
+    rows = (f"{_fmt(t)},{_fmt(v)}" for t, v in zip(series.tau_grid, series.values))
+    _write_lines(path, [header, "tau,value", *rows])
 
 
-def _write_manifest(path, entries, volatile) -> None:
+def _write_lines(path, lines) -> None:
+    """Each line and a newline; a failed write is an IoFailureError (exit code 4)."""
     try:
         with open(path, "w", newline="\n") as fh:
-            for k, v in entries:
-                fh.write(f"{k} = {v}\n")
-            for k, v in volatile:
-                fh.write(f"{k} = {v}\n")
+            fh.writelines(f"{line}\n" for line in lines)
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
 
@@ -327,18 +327,22 @@ class InvariantLog:
         self.min_eig = 0.0
         self.checked = 0
 
-    def add_state(self, m):
-        r = state_residuals(m)
-        self.max_trace_dev = max(self.max_trace_dev, r["trace_dev"])
-        self.max_herm = max(self.max_herm, r["hermiticity"])
-        self.min_eig = min(self.min_eig, r["min_eig"])
-        self.checked += 1
+    def add_states(self, ms):
+        """Density matrices: one 9x9 matrix or a stack of them."""
+        r = self._add(ms)
+        self.max_trace_dev = float(np.max(r["trace_dev"], initial=self.max_trace_dev))
 
-    def add_effect(self, m):
-        r = state_residuals(m)
-        self.max_herm = max(self.max_herm, r["hermiticity"])
-        self.min_eig = min(self.min_eig, r["min_eig"])
-        self.checked += 1
+    def add_effects(self, ms):
+        """Effect matrices, which have no trace condition: one or a stack."""
+        self._add(ms)
+
+    def _add(self, ms):
+        ms = np.reshape(ms, (-1, DIM_PAIR, DIM_PAIR))
+        r = state_residuals(ms)
+        self.max_herm = float(np.max(r["hermiticity"], initial=self.max_herm))
+        self.min_eig = float(np.min(r["min_eig"], initial=self.min_eig))
+        self.checked += len(ms)
+        return r
 
     @property
     def ok(self) -> bool:
@@ -355,24 +359,23 @@ class InvariantLog:
         ]
 
 
+def _square(rows: np.ndarray) -> np.ndarray:
+    """A stack of 9x9 matrices from column-stacked rows (a C-order reshape is the transpose)."""
+    return rows.reshape(-1, DIM_PAIR, DIM_PAIR).swapaxes(1, 2)
+
+
 def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
                             lv_adj: Liouvillian | None = None, k: int | None = None,
                             T: float | None = None) -> None:
-    """Re-walk the forward conditioned state (and backward effect) of a recipe,
-    recording the density/effect-matrix residuals at every grid point."""
-    rho = steady_state(lv)
-    log.add_state(rho)
-    p = np.trace(sigma(i, 2, 2).matrix @ rho).real
-    x0 = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / p
-    ahead = grid[grid >= 0]
-    for row in chain(lv, x0, np.diff(ahead, prepend=0.0)):
-        x = algebra.devectorize(row, DIM_PAIR, DIM_PAIR)
-        log.add_state(x / max(np.trace(x).real, 1e-300))
+    """Re-walk a recipe's conditional states (and effects) with the PQS march,
+    recording the density/effect-matrix residuals of each whole chain at once."""
+    log.add_states(steady_state(lv))
+    states = _square(state_chain(lv, i, grid[grid >= 0]))
+    states /= np.maximum(np.trace(states, axis1=1, axis2=2).real, 1e-300)[:, None, None]
+    log.add_states(states)
     if lv_adj is not None and k is not None and T is not None:
-        e = sigma(k, 2, 2).matrix
-        log.add_effect(e)
-        for row in chain(lv_adj, e, np.r_[T - grid[-1], np.diff(grid)[::-1]]):
-            log.add_effect(algebra.devectorize(row, DIM_PAIR, DIM_PAIR))
+        log.add_effects(sigma(k, 2, 2).matrix)
+        log.add_effects(_square(effect_chain(lv_adj, k, grid, T)))
 
 
 def _default_dtau(p: ModelParams) -> float:
@@ -380,7 +383,11 @@ def _default_dtau(p: ModelParams) -> float:
 
 
 def _grid(lo, hi, dt):
-    n = max(1, int(round((hi - lo) / dt)))
+    steps = (hi - lo) / dt
+    if not steps <= MAX_GRID_POINTS - 1:  # also refuses inf and nan
+        raise BadValueError(f"a step of {dt:.3g} over [{lo:g}, {hi:g}] makes a grid of more than "
+                            f"{MAX_GRID_POINTS} points; use a larger step or a narrower window")
+    n = max(1, int(round(steps)))
     return np.linspace(lo, hi, n + 1)
 
 
@@ -390,7 +397,8 @@ def _run_recipe(recipe: Recipe, cfg: RunConfig, log: InvariantLog, dT: float | N
     ``dT`` is the step of the ampratio T grid (default: a sixteenth of the
     Rabi period). Returns (suffix, series, panel parameters) triples; the
     suffix names the panel (``_v0.5``, ``_T10``, ``_max``) and is empty for a
-    single panel.
+    single panel. Every grid is built, and so checked against
+    MAX_GRID_POINTS, before the first generator.
     """
     p, theta = cfg.params, cfg.theta
     dtau = cfg.dtau if cfg.dtau is not None else _default_dtau(p)
@@ -399,19 +407,22 @@ def _run_recipe(recipe: Recipe, cfg: RunConfig, log: InvariantLog, dT: float | N
     lo, hi = recipe.window or WINDOWS[recipe.kind]
     i, k = recipe.atoms[0], recipe.atoms[-1]
     amplitude = (theta,) if recipe.kind in ("g15", "g25") else ()
+    if recipe.kind == "ampratio":
+        T_grid, audit_grid = _grid(lo, hi, dT), _grid(0.0, hi, dtau)
+    else:
+        grids = [_grid(lo, T if hi is None else hi, dtau) for T in recipe.Ts]
     out = []
     for v12 in recipe.v12:
         panel = p if v12 is None else replace(p, v12=v12)
         tag = "" if v12 is None else f"_v{v12:g}"
         lv = build_liouvillian(panel)
         if recipe.kind == "ampratio":
-            series = correlators.amplitude_ratio(lv, *recipe.atoms, theta, _grid(lo, hi, dT))
+            series = correlators.amplitude_ratio(lv, *recipe.atoms, theta, T_grid)
             out.extend((f"{tag}_{name}", s, panel) for name, s in zip(("max", "min", "mean"), series))
-            _audit_conditional_path(lv, i, _grid(0.0, hi, dtau), log)
+            _audit_conditional_path(lv, i, audit_grid, log)
             continue
         lv_adj = build_adjoint_liouvillian(panel) if recipe.kind in ("g3", "g25") else None
-        for T in recipe.Ts:
-            grid = _grid(lo, T if hi is None else hi, dtau)
+        for T, grid in zip(recipe.Ts, grids):
             # looked up at call time, so a wrapper installed on the module is seen
             series = getattr(correlators, recipe.kind)(lv, *recipe.atoms, *amplitude, grid,
                                                        *([] if T is None else [T]))
@@ -471,17 +482,11 @@ def _run_steady(cfg: RunConfig):
     lv = build_liouvillian(cfg.params)
     rho = steady_state(lv)
     log = InvariantLog()
-    log.add_state(rho)
+    log.add_states(rho)
     out = _out_path(cfg, "steady.csv")
-    try:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(f"# kind=steady_state, params={_params_echo(cfg.params)}\n")
-            fh.write("row,col,re,im\n")
-            for r in range(DIM_PAIR):
-                for c in range(DIM_PAIR):
-                    fh.write(f"{r},{c},{_fmt(rho[r, c].real)},{_fmt(rho[r, c].imag)}\n")
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {out}: {exc}") from exc
+    rows = (f"{r},{c},{_fmt(rho[r, c].real)},{_fmt(rho[r, c].imag)}"
+            for r in range(DIM_PAIR) for c in range(DIM_PAIR))
+    _write_lines(out, [f"# kind=steady_state, params={_params_echo(cfg.params)}", "row,col,re,im", *rows])
     entries = [("command", "steady")]
     for a in (1, 2):
         pop = np.trace(sigma(a, 2, 2).matrix @ rho).real
@@ -495,16 +500,10 @@ def _run_spectrum(cfg: RunConfig):
     spec = spectrum(lv)
     log = InvariantLog()
     rho = steady_state(lv)
-    log.add_state(rho)
+    log.add_states(rho)
     out = _out_path(cfg, "spectrum.csv")
-    try:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(f"# kind=spectrum, params={_params_echo(cfg.params)}\n")
-            fh.write("index,re,im\n")
-            for n, w in enumerate(spec.eigenvalues):
-                fh.write(f"{n},{_fmt(w.real)},{_fmt(w.imag)}\n")
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {out}: {exc}") from exc
+    rows = (f"{n},{_fmt(w.real)},{_fmt(w.imag)}" for n, w in enumerate(spec.eigenvalues))
+    _write_lines(out, [f"# kind=spectrum, params={_params_echo(cfg.params)}", "index,re,im", *rows])
     w = spec.eigenvalues
     zero_modes = spec.stationary_count
     max_real = float(w.real.max())
@@ -518,7 +517,8 @@ def _run_spectrum(cfg: RunConfig):
         ("conjugation_defect", _fmt(conj_defect)),
         ("zero_mode_vs_steady_state", _fmt(steady_match)),
     ]
-    ok = zero_modes == 1 and max_real <= 1e-10 and conj_defect <= 1e-8 and steady_match <= 1e-8
+    ok = (zero_modes == 1 and max_real <= STATIONARY_EIG_TOL
+          and conj_defect <= SPECTRUM_MATCH_TOL and steady_match <= SPECTRUM_MATCH_TOL)
     entries.append(("invariant.spectrum", _bool_word(ok)))
     if not ok:
         raise InvariantViolationError("spectrum structure checks failed; see manifest")
@@ -528,14 +528,17 @@ def _run_spectrum(cfg: RunConfig):
 def _run_trajectories(cfg: RunConfig):
     p = cfg.params
     step = cfg.step if cfg.step is not None else 0.005 / max(1.0, p.rabi)
-    batch = mcwf_run(p, duration=cfg.duration, step=step, seed=cfg.seed,
-                     count=cfg.trajectories)
+    try:
+        batch = mcwf_run(p, duration=cfg.duration, step=step, seed=cfg.seed,
+                         count=cfg.trajectories)
+    except StepTooLargeError as exc:
+        raise BadValueError(str(exc)) from exc
     out = _out_path(cfg, "clicks.csv")
     write_clicks_csv(batch, out)
     lv = build_liouvillian(p)
     rho = steady_state(lv)
     log = InvariantLog()
-    log.add_state(rho)
+    log.add_states(rho)
     n_clicks = sum(len(r) for r in batch.records)
     entries = [
         ("command", "trajectories"),
@@ -591,7 +594,7 @@ def run(cfg: RunConfig) -> int:
         ("wall_time_s", f"{time.monotonic() - t0:.3f}"),
         ("timestamp_utc", datetime.now(timezone.utc).isoformat()),
     ]
-    _write_manifest(manifest, head + entries + tail, volatile)
+    _write_lines(manifest, (f"{k} = {v}" for k, v in head + entries + tail + volatile))
     if not log.ok:
         print(f"rydcorr: numerical invariant failure; see {manifest}", file=sys.stderr)
         return 3

@@ -37,7 +37,7 @@ from .errors import (
     UnorderedEventsError,
     ZeroEmissionRateError,
 )
-from .liouville import DIM_PAIR, Liouvillian, chain, steady_state
+from .liouville import Liouvillian, chain, propagate, steady_state
 from .model import PairOperator, identity_pair, sigma
 
 __all__ = [
@@ -136,14 +136,9 @@ def multitime_correlator(lv: Liouvillian, rho0: np.ndarray, events, observable: 
     x = np.asarray(rho0, dtype=complex)
     now = 0.0
     for ev in events:
-        gap = ev.time - now
-        if gap > 0:
-            x = algebra.devectorize(lv.propagator(gap) @ algebra.vectorize(x), DIM_PAIR, DIM_PAIR)
-        x = ev.left.matrix @ x @ ev.right.matrix
+        x = ev.left.matrix @ propagate(lv, x, ev.time - now) @ ev.right.matrix
         now = ev.time
-    if t_obs > now:
-        x = algebra.devectorize(lv.propagator(t_obs - now) @ algebra.vectorize(x), DIM_PAIR, DIM_PAIR)
-    return complex(np.trace(observable.matrix @ x))
+    return complex(np.trace(observable.matrix @ propagate(lv, x, t_obs - now)))
 
 
 # --- shared plumbing -------------------------------------------------------

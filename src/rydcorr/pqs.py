@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import algebra
 from .correlators import (
     CorrelationSeries,
     _check_grid,
@@ -35,12 +36,14 @@ from .correlators import (
     _stationary_norm,
 )
 from .errors import NegativeDurationError, ZeroHistoryProbabilityError
-from .liouville import DIM_PAIR, Liouvillian, chain, propagate, steady_state
+from .liouville import DIM_PAIR, TRACE_TOL, Liouvillian, chain, steady_state
 from .model import PairOperator, sigma
 
 __all__ = [
     "POVMSet",
     "ConditionalPair",
+    "state_chain",
+    "effect_chain",
     "forward_after_click",
     "backward_before_click",
     "conditional_pair",
@@ -87,7 +90,7 @@ class ConditionalPair:
     def __post_init__(self):
         rho = np.asarray(self.rho_c, dtype=complex)
         eff = np.asarray(self.effect, dtype=complex)
-        if abs(np.trace(rho) - 1.0) > 1e-9:
+        if abs(np.trace(rho) - 1.0) > TRACE_TOL:
             raise ValueError(f"conditional state trace deviates by {abs(np.trace(rho)-1.0):.3e}")
         if np.trace(eff @ rho).real <= 0:
             raise ZeroHistoryProbabilityError("conditioning history has nonpositive probability")
@@ -95,11 +98,25 @@ class ConditionalPair:
         object.__setattr__(self, "effect", eff)
 
 
-def forward_after_click(lv: Liouvillian, i: int, tau: float) -> np.ndarray:
-    """Normalized conditional state a time tau after a count on atom i in steady state."""
+def state_chain(lv: Liouvillian, i: int, grid) -> np.ndarray:
+    """Rows vec(rho_c(tau)) on an ascending grid of tau >= 0: the jump on atom i
+    from the steady state over its emission rate (unit trace), marched forward."""
     rho = steady_state(lv)
     jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / _emission_rate(rho, i)
-    return propagate(lv, jumped, tau)
+    return chain(lv, jumped, np.diff(grid, prepend=0.0))
+
+
+def effect_chain(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
+    """Rows vec(E(tau)) on an ascending grid ending by T: the excited-state
+    projector of atom k marched back from T with the adjoint generator."""
+    return chain(lv_adj, sigma(k, 2, 2).matrix, np.r_[T - grid[-1], np.diff(grid)[::-1]])[::-1]
+
+
+def forward_after_click(lv: Liouvillian, i: int, tau: float) -> np.ndarray:
+    """Normalized conditional state a time tau after a count on atom i in steady state."""
+    if tau < 0:
+        raise NegativeDurationError(f"duration must be >= 0, got {tau}")
+    return algebra.devectorize(state_chain(lv, i, [tau])[0], DIM_PAIR, DIM_PAIR)
 
 
 def backward_before_click(lv_adj: Liouvillian, k: int, remaining: float) -> np.ndarray:
@@ -112,7 +129,7 @@ def backward_before_click(lv_adj: Liouvillian, k: int, remaining: float) -> np.n
         raise NegativeDurationError(f"remaining duration must be >= 0, got {remaining}")
     if not lv_adj.adjoint:
         raise ValueError("backward propagation needs the adjoint generator")
-    return propagate(lv_adj, sigma(k, 2, 2).matrix, remaining)
+    return algebra.devectorize(effect_chain(lv_adj, k, [0.0], remaining)[0], DIM_PAIR, DIM_PAIR)
 
 
 def conditional_pair(lv: Liouvillian, lv_adj: Liouvillian, i: int, k: int,
@@ -157,14 +174,12 @@ def _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T) -> CorrelationSerie
     insertion O_j is a count or an amplitude measurement on atom j."""
     grid = _check_grid(tau_grid, lo=0.0, hi=T)
     rho = steady_state(lv)
-    jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / _emission_rate(rho, i)
     if theta is None:
         kind, norm = "g3", _stationary_norm(rho, (j, k))
     else:
         kind, norm = "g25", _stationary_norm(rho, (k,), (j, theta))
-    states = chain(lv, jumped, np.diff(grid, prepend=0.0))
-    effects = chain(lv_adj, sigma(k, 2, 2).matrix, np.r_[T - grid[-1], np.diff(grid)[::-1]])[::-1]
-    inserted = states @ _insertion(j, theta).T
+    inserted = state_chain(lv, i, grid) @ _insertion(j, theta).T
+    effects = effect_chain(lv_adj, k, grid, T)
     # Tr(E @ X) per row; a C-order reshape of a column-stacked row is the transpose
     square = (-1, DIM_PAIR, DIM_PAIR)
     raw = np.einsum("nab,nba->n", effects.reshape(square), inserted.reshape(square))

@@ -120,7 +120,7 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
              sample_every: int | None = None) -> TrajectoryBatch:
     """Run ``count`` trajectories of the given duration.
 
-    ``step`` must resolve the coherent dynamics (step <= 0.01 / max(1, rabi));
+    ``step`` must be positive and resolve the coherent dynamics (<= 0.01 / max(1, rabi));
     it is bisected further, before the run, whenever the worst-case jump
     probability per step dt * max_psi <psi|sum C^+C|psi> would exceed 0.1.
     ``initial`` is a normalized 9-component state vector (default: both atoms
@@ -142,6 +142,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
         raise ValueError("duration must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     limit = 0.01 / max(1.0, p.rabi)
     if step > limit * (1 + 1e-12):
         raise StepTooLargeError(f"step {step} exceeds coherent-resolution limit {limit:.3e}")

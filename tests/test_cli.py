@@ -140,6 +140,8 @@ def test_manifest_keys_are_unique(tmp_path):
     (["g25", "--t-sep", "2"], True, True, ["g25.csv"]),
     (["ampratio", "--tau-min", "10", "--tau-max", "10.5"], True, False,
      ["ampratio_max.csv", "ampratio_min.csv", "ampratio_mean.csv"]),
+    # no tau >= 0, so the audit checks an empty chain of conditional states
+    (["g15", "--tau-min", "-2", "--tau-max", "-1"], True, False, ["g15.csv"]),
 ])
 def test_series_commands(tmp_path, argv, theta, t_sep, outputs):
     out = tmp_path / f"{argv[0]}.csv"
@@ -188,15 +190,55 @@ def test_exit_codes(tmp_path):
     assert cli.main(["g2", "--tau-max", "1", "--out", "/nonexistent/dir/x.csv"]) == 4
 
 
+def refuse_generators(monkeypatch):
+    def refuse(p):
+        raise AssertionError("a generator was built")
+    monkeypatch.setattr(cli, "build_liouvillian", refuse)
+    monkeypatch.setattr(cli, "build_adjoint_liouvillian", refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ["g3", "--tau-min", "-1"],
     ["g3", "--tau-min", "3", "--tau-max", "1"],
     ["g25", "--t-sep", "2", "--tau-max", "5"],
     ["g2", "--tau-min", "3", "--tau-max", "1"],
+    # grids over MAX_GRID_POINTS, from 1.6M points to an infinite number
+    ["g2", "--omega2", "1e4"],
+    ["g2", "--dtau", "1e-9", "--tau-max", "1"],
+    ["ampratio", "--dtau", "1e-9"],
+    ["g15", "--dtau", "1e-320"],
 ])
-def test_bad_windows_exit_2(tmp_path, argv):
+def test_bad_windows_exit_2(tmp_path, monkeypatch, argv):
+    refuse_generators(monkeypatch)
     out = tmp_path / "x.csv"
     assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["figure", name] for name in cli.FIGURES]
+                         + [[kind] for kind in ("g2", "g15", "g3", "g25", "ampratio")])
+def test_default_grids_well_inside_cap(tmp_path, monkeypatch, argv):
+    """Every grid of the figure recipes and series defaults, which are all built
+    before the first generator, is at most a tenth of MAX_GRID_POINTS."""
+    sizes = []
+    grid = cli._grid
+
+    def recorded(lo, hi, dt):
+        points = grid(lo, hi, dt)
+        sizes.append(points.size)
+        return points
+
+    monkeypatch.setattr(cli, "_grid", recorded)
+    refuse_generators(monkeypatch)
+    with pytest.raises(AssertionError, match="a generator was built"):
+        cli.run(cli.parse_config(argv + ["--out", str(tmp_path / "out")]))
+    assert sizes and max(sizes) * 10 <= cli.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "1"])
+def test_bad_trajectory_step_exits_2(tmp_path, step):
+    out = tmp_path / "clicks.csv"
+    assert cli.main(["trajectories", "--step", step, "--duration", "1", "--out", str(out)]) == 2
     assert not out.exists()
 
 

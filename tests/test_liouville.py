@@ -127,6 +127,21 @@ def test_steady_state_contract(lv, rho_ss):
     assert r["min_eig"] > -1e-9
 
 
+def test_state_residuals_on_a_stack(lv_adj, rho_ss):
+    """A stack gives, entry by entry, the residuals of each matrix alone: states
+    (unit trace) and effects (no trace condition), one of them not Hermitian."""
+    effect = propagate(lv_adj, sigma(2, 2, 2).matrix, 3.0)
+    lopsided = random_density() + 1e-6j * np.triu(np.ones((9, 9)), 1)
+    stack = np.stack([rho_ss, random_density(), lopsided, effect, sigma(1, 2, 2).matrix])
+    batched = state_residuals(stack)
+    for key in ("trace_dev", "hermiticity", "min_eig"):
+        assert batched[key].shape == (len(stack),)
+        for n, m in enumerate(stack):
+            assert batched[key][n] == state_residuals(m)[key]
+    assert batched["hermiticity"][2] > 1e-7
+    assert batched["trace_dev"][3] > 0.1
+
+
 def test_steady_state_dark_limit():
     p = ModelParams(gamma2=0.0, gamma_ph=0.0, v12=0.0)
     rho = steady_state(build_liouvillian(p))

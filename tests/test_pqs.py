@@ -100,6 +100,11 @@ def test_backward_rejects_negative(lv_adj):
         backward_before_click(lv_adj, 2, -1.0)
 
 
+def test_forward_rejects_negative(lv):
+    with pytest.raises(NegativeDurationError):
+        forward_after_click(lv, 1, -1.0)
+
+
 def test_backward_identity_invariant(lv_adj):
     for t in (0.5, 2.0, 10.0):
         out = propagate(lv_adj, np.eye(9), t)

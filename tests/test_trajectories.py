@@ -112,6 +112,12 @@ def test_step_limit_enforced():
         mcwf_run(ModelParams(), duration=1.0, step=0.01, seed=1, count=1)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+def test_step_must_be_positive(step):
+    with pytest.raises(ValueError, match="step must be positive"):
+        mcwf_run(BRIGHT, duration=1.0, step=step, seed=1, count=1)
+
+
 @pytest.mark.parametrize("sample_every", [0, -5])
 def test_sample_period_must_be_positive(sample_every):
     with pytest.raises(ValueError):
