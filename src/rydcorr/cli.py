@@ -40,6 +40,7 @@ from .errors import (
     MissingCommandError,
     RydcorrError,
     StepTooLargeError,
+    TooManyStepsError,
     UnknownFigureError,
     UnknownKeyError,
 )
@@ -268,7 +269,7 @@ def parse_config(argv) -> RunConfig:
         raise BadValueError(f"dtau must be positive, got {cfg.dtau}")
     if cfg.trajectories < 1:
         raise BadValueError(f"trajectories must be >= 1, got {cfg.trajectories}")
-    if cfg.duration <= 0:
+    if not cfg.duration > 0:
         raise BadValueError(f"duration must be positive, got {cfg.duration}")
     if cfg.step is not None and not cfg.step > 0:
         raise BadValueError(f"step must be positive, got {cfg.step}")
@@ -531,7 +532,7 @@ def _run_trajectories(cfg: RunConfig):
     try:
         batch = mcwf_run(p, duration=cfg.duration, step=step, seed=cfg.seed,
                          count=cfg.trajectories)
-    except StepTooLargeError as exc:
+    except (StepTooLargeError, TooManyStepsError) as exc:
         raise BadValueError(str(exc)) from exc
     out = _out_path(cfg, "clicks.csv")
     write_clicks_csv(batch, out)

@@ -37,7 +37,7 @@ from .errors import (
     UnorderedEventsError,
     ZeroEmissionRateError,
 )
-from .liouville import Liouvillian, chain, propagate, steady_state
+from .liouville import Liouvillian, chain, grid_steps, propagate, steady_state
 from .model import PairOperator, identity_pair, sigma
 
 __all__ = [
@@ -185,11 +185,11 @@ def _suffix_propagate(lv: Liouvillian, rows: np.ndarray, grid: np.ndarray, t_end
 
     Row k enters at time grid[k]; on return, row k has been propagated by
     (t_end - grid[k]). Rows are processed with shared per-segment propagators
-    so a uniform grid costs one matrix exponential.
+    over the steps of ``grid_steps``, so a uniform grid costs one matrix
+    exponential.
     """
     w = rows.copy()
-    for m in range(1, grid.size):
-        dt = grid[m] - grid[m - 1]
+    for m, dt in enumerate(grid_steps(grid), start=1):
         if dt > 0:
             w[:m] = w[:m] @ lv.propagator(dt).T
     tail = t_end - grid[-1]
@@ -240,7 +240,7 @@ def _regression(lv: Liouvillian, rho: np.ndarray, first: EventInsertion, grid: n
     ignored: the grid places the insertions.
     """
     x0 = first.left.matrix @ rho @ first.right.matrix
-    rows = chain(lv, x0, np.diff(grid, prepend=0.0))
+    rows = chain(lv, x0, np.r_[grid[:1], grid_steps(grid)])
     if mid is not None:
         rows = _suffix_propagate(lv, rows @ mid.T, grid, T)
     # Tr(A @ X) = vec(A.T) . vec(X) under column stacking

@@ -89,6 +89,10 @@ class StepTooLargeError(RydcorrError):
     """Integration step too coarse to resolve the coherent dynamics."""
 
 
+class TooManyStepsError(RydcorrError):
+    """More integration steps per trajectory than the run may take."""
+
+
 class NormUnderflowError(RydcorrError):
     """State norm collapsed during jump sampling."""
 

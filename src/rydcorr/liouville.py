@@ -42,6 +42,7 @@ __all__ = [
     "build_adjoint_liouvillian",
     "steady_state",
     "propagate",
+    "grid_steps",
     "chain",
     "spectrum",
     "apply_generator",
@@ -181,12 +182,33 @@ def propagate(lv: Liouvillian, x: np.ndarray, t: float) -> np.ndarray:
     return algebra.devectorize(lv.propagator(t) @ algebra.vectorize(x), DIM_PAIR, DIM_PAIR)
 
 
+def grid_steps(grid) -> np.ndarray:
+    """The durations a march takes between successive points of a grid.
+
+    These are ``np.diff(grid)``, unless every difference lies within
+    4 ulp of max(|g[0]|, |g[-1]|) of the mean step h = (g[-1] - g[0]) / (N - 1),
+    as on any ``np.linspace`` grid. Then every step is h, and the grid costs
+    one exponential instead of one per rounding variant of its step. Point n
+    is reached at g[0] + n h, within the rounding of g[n] itself: the
+    differences telescope, so rounding each step on its own would instead
+    let the time error grow with n.
+    """
+    g = np.asarray(grid, dtype=float)
+    steps = np.diff(g)
+    if steps.size:
+        h = (g[-1] - g[0]) / steps.size
+        if np.all(np.abs(steps - h) <= 4 * np.spacing(max(abs(g[0]), abs(g[-1])))):
+            return np.full(steps.size, h)
+    return steps
+
+
 def chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
     """March a 9x9 matrix through successive durations, one row per step.
 
     Row n is vec(x0) propagated by steps[0] + ... + steps[n]; a zero step
     repeats the previous row without an exponential. ``pqs.state_chain`` and
-    ``pqs.effect_chain`` march forward and backward along a grid.
+    ``pqs.effect_chain`` march forward and backward along a grid, with the
+    steps of ``grid_steps``.
     """
     out = np.empty((len(steps), DIM_SUPER), dtype=complex)
     v = algebra.vectorize(x0)

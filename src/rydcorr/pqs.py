@@ -36,7 +36,7 @@ from .correlators import (
     _stationary_norm,
 )
 from .errors import NegativeDurationError, ZeroHistoryProbabilityError
-from .liouville import DIM_PAIR, TRACE_TOL, Liouvillian, chain, steady_state
+from .liouville import DIM_PAIR, TRACE_TOL, Liouvillian, chain, grid_steps, steady_state
 from .model import PairOperator, sigma
 
 __all__ = [
@@ -103,13 +103,15 @@ def state_chain(lv: Liouvillian, i: int, grid) -> np.ndarray:
     from the steady state over its emission rate (unit trace), marched forward."""
     rho = steady_state(lv)
     jumped = sigma(i, 1, 2).matrix @ rho @ sigma(i, 2, 1).matrix / _emission_rate(rho, i)
-    return chain(lv, jumped, np.diff(grid, prepend=0.0))
+    grid = np.asarray(grid, dtype=float)
+    return chain(lv, jumped, np.r_[grid[:1], grid_steps(grid)])
 
 
 def effect_chain(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
     """Rows vec(E(tau)) on an ascending grid ending by T: the excited-state
     projector of atom k marched back from T with the adjoint generator."""
-    return chain(lv_adj, sigma(k, 2, 2).matrix, np.r_[T - grid[-1], np.diff(grid)[::-1]])[::-1]
+    grid = np.asarray(grid, dtype=float)
+    return chain(lv_adj, sigma(k, 2, 2).matrix, np.r_[T - grid[-1:], grid_steps(grid)[::-1]])[::-1]
 
 
 def forward_after_click(lv: Liouvillian, i: int, tau: float) -> np.ndarray:

@@ -39,6 +39,7 @@ from .errors import (
     IoFailureError,
     NormUnderflowError,
     StepTooLargeError,
+    TooManyStepsError,
 )
 from .model import DIM_PAIR, ModelParams, jump_operators, pair_hamiltonian
 
@@ -53,6 +54,8 @@ __all__ = [
 CLICK_CHANNELS = (0, 3)  # C1 of atom 1, C1 of atom 2 in the fixed channel order
 MAX_JUMP_PROBABILITY = 0.1
 RNG_CHUNK_STEPS = 256
+# most steps per trajectory: about 500x the 200,160 of the CLI default run
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     ``step`` must be positive and resolve the coherent dynamics (<= 0.01 / max(1, rabi));
     it is bisected further, before the run, whenever the worst-case jump
     probability per step dt * max_psi <psi|sum C^+C|psi> would exceed 0.1.
+    A run of more than MAX_STEPS steps per trajectory is refused
+    (TooManyStepsError) before anything is allocated.
     ``initial`` is a normalized 9-component state vector (default: both atoms
     in the ground state). Population statistics are sampled every
     ``sample_every`` steps (default: ~200 samples per run).
@@ -138,8 +143,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     last jump (or the block start) times a cached power of U_eff, and the
     block ends with one matrix product per trajectory.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not duration > 0:
+        raise ValueError(f"duration must be positive, got {duration}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if not step > 0:
@@ -148,6 +153,9 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     if step > limit * (1 + 1e-12):
         raise StepTooLargeError(f"step {step} exceeds coherent-resolution limit {limit:.3e}")
 
+    if not duration / step <= MAX_STEPS:  # also refuses an overflow to inf
+        raise TooManyStepsError(f"a step of {step:.3g} over a duration of {duration:g} takes "
+                                f"more than {MAX_STEPS} steps; use a shorter duration")
     n_steps = max(1, int(round(duration / step)))
     dt = duration / n_steps
 
@@ -163,6 +171,9 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     while dt * float(np.diag(decay_sum).real.max()) > MAX_JUMP_PROBABILITY:
         n_steps *= 2
         dt = duration / n_steps
+    if n_steps > MAX_STEPS:
+        raise TooManyStepsError(f"the jump-probability cap halves the step to {dt:.3g}, which "
+                                f"takes more than {MAX_STEPS} steps; use a shorter duration")
 
     u_eff = algebra.expm((-1j * h - 0.5 * decay_sum) * dt)
     u_eff_t = np.ascontiguousarray(u_eff.T)

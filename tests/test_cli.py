@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rydcorr import cli
+from rydcorr import cli, trajectories
 from rydcorr.correlators import CorrelationSeries
 from rydcorr.errors import (
     BadValueError,
@@ -9,6 +9,7 @@ from rydcorr.errors import (
     UnknownFigureError,
     UnknownKeyError,
 )
+from rydcorr.liouville import grid_steps
 
 
 def read_series(path):
@@ -215,24 +216,44 @@ def test_bad_windows_exit_2(tmp_path, monkeypatch, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["figure", name] for name in cli.FIGURES]
-                         + [[kind] for kind in ("g2", "g15", "g3", "g25", "ampratio")])
-def test_default_grids_well_inside_cap(tmp_path, monkeypatch, argv):
-    """Every grid of the figure recipes and series defaults, which are all built
-    before the first generator, is at most a tenth of MAX_GRID_POINTS."""
-    sizes = []
+DEFAULT_RUNS = ([["figure", name] for name in cli.FIGURES]
+                + [[kind] for kind in ("g2", "g15", "g3", "g25", "ampratio")])
+
+
+def default_grids(tmp_path, monkeypatch, argv):
+    """Every grid a figure recipe or series default builds; all of them are
+    built before the first generator."""
+    grids = []
     grid = cli._grid
 
     def recorded(lo, hi, dt):
         points = grid(lo, hi, dt)
-        sizes.append(points.size)
+        grids.append(points)
         return points
 
     monkeypatch.setattr(cli, "_grid", recorded)
     refuse_generators(monkeypatch)
     with pytest.raises(AssertionError, match="a generator was built"):
         cli.run(cli.parse_config(argv + ["--out", str(tmp_path / "out")]))
-    assert sizes and max(sizes) * 10 <= cli.MAX_GRID_POINTS
+    assert grids
+    return grids
+
+
+@pytest.mark.parametrize("argv", DEFAULT_RUNS)
+def test_default_grids_well_inside_cap(tmp_path, monkeypatch, argv):
+    """Every default grid is at most a tenth of MAX_GRID_POINTS."""
+    sizes = [g.size for g in default_grids(tmp_path, monkeypatch, argv)]
+    assert max(sizes) * 10 <= cli.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("argv", DEFAULT_RUNS)
+def test_default_grids_take_one_step(tmp_path, monkeypatch, argv):
+    """Every default grid, and each half of one that crosses 0 (g15 marches
+    both from 0), is marched with a single step: one exponential per generator."""
+    for g in default_grids(tmp_path, monkeypatch, argv):
+        for part in (g, g[g >= 0], -g[g < 0][::-1]):
+            if part.size > 1:
+                assert np.unique(grid_steps(part)).size == 1
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "1"])
@@ -240,6 +261,35 @@ def test_bad_trajectory_step_exits_2(tmp_path, step):
     out = tmp_path / "clicks.csv"
     assert cli.main(["trajectories", "--step", step, "--duration", "1", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", ["nan", "0", "-1", "inf", "1e9"])
+def test_bad_trajectory_duration_exits_2(tmp_path, monkeypatch, duration):
+    """Durations that are not positive, or that take more than
+    trajectories.MAX_STEPS steps, exit 2 before a trajectory is drawn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trajectory generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    out = tmp_path / "clicks.csv"
+    assert cli.main(["trajectories", "--duration", duration, "--trajectories", "1",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_default_trajectory_runs_far_inside_step_bound(tmp_path, monkeypatch):
+    """The CLI default run and criterion 09's 50,000 steps take at most a
+    hundredth of trajectories.MAX_STEPS."""
+    steps = []
+
+    def recorded(p, duration, step, **kwargs):
+        steps.append(duration / step)
+        raise AssertionError("recorded")
+
+    monkeypatch.setattr(cli, "mcwf_run", recorded)
+    with pytest.raises(AssertionError, match="recorded"):
+        cli.main(["trajectories", "--out", str(tmp_path / "clicks.csv")])
+    assert max(steps[0], 50_000) * 100 <= trajectories.MAX_STEPS
 
 
 def test_steady_and_spectrum_commands(tmp_path):

@@ -10,7 +10,13 @@ from rydcorr import (
     steady_state,
 )
 from rydcorr.errors import NegativeDurationError
-from rydcorr.liouville import apply_generator, check_state, conjugation_defect, state_residuals
+from rydcorr.liouville import (
+    apply_generator,
+    check_state,
+    conjugation_defect,
+    grid_steps,
+    state_residuals,
+)
 from rydcorr.model import dark_state, jump_operators, pair_hamiltonian, sigma
 
 RNG = np.random.default_rng(42)
@@ -176,6 +182,33 @@ def test_propagate_semigroup(lv):
 def test_propagate_rejects_negative(lv, rho_ss):
     with pytest.raises(NegativeDurationError):
         propagate(lv, rho_ss, -0.1)
+
+
+def test_linspace_grids_take_their_mean_step():
+    """Any linspace grid is marched with its exact mean step h, and point n is
+    reached at g[0] + n h within 4 ulp of the grid's extremes."""
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        lo = 0.0 if rng.random() < 0.3 else rng.uniform(-30, 30) * 10 ** rng.uniform(-3, 3)
+        n = int(rng.integers(2, 3000))
+        g = np.linspace(lo, lo + 10 ** rng.uniform(-2, 3), n)
+        steps = grid_steps(g)
+        h = (g[-1] - g[0]) / (n - 1)
+        assert steps.shape == (n - 1,) and np.all(steps == h)
+        ulp = np.spacing(max(abs(g[0]), abs(g[-1])))
+        assert np.max(np.abs(g[0] + np.arange(n) * h - g)) <= 4 * ulp
+
+
+def test_grid_steps_keeps_raw_steps_otherwise():
+    T = 10.0
+    for g in ([0.0, T / 3, T / 2, T], np.geomspace(0.1, T, 50)):
+        assert np.array_equal(grid_steps(g), np.diff(g))
+    # one point of a uniform grid moved by 8 ulp
+    g = np.linspace(0.0, T, 101)
+    g[50] += 8 * np.spacing(T)
+    assert np.array_equal(grid_steps(g), np.diff(g))
+    for g in ([], [2.5]):
+        assert grid_steps(g).shape == (0,)
 
 
 def test_propagation_preserves_state_invariants(lv):

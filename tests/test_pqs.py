@@ -22,7 +22,7 @@ from rydcorr import (
 )
 from rydcorr.errors import NegativeDurationError
 from rydcorr.model import PairOperator, identity_pair, sigma
-from rydcorr.pqs import ConditionalPair
+from rydcorr.pqs import ConditionalPair, effect_chain, state_chain
 
 from conftest import THETA, default_grid, rel_close, series_rel_close
 
@@ -204,3 +204,43 @@ def test_uncoupled_atom1_outcomes_independent_of_posterior_time():
         if baseline is None:
             baseline = probs
         assert np.max(np.abs(probs - baseline)) < 1e-10
+
+
+def test_uniform_grid_costs_one_exponential_per_generator(params):
+    """Both routes of g3 on a default grid add exactly one forward and one
+    adjoint propagator: the grid's mean step."""
+    lv, lv_adj = build_liouvillian(params), build_adjoint_liouvillian(params)
+    T = 10.0
+    grid = default_grid(params, 0.0, T)
+    g3(lv, 1, 2, 2, grid, T)
+    g3_via_pqs(lv, lv_adj, 1, 2, 2, grid, T)
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
+    assert list(lv._propagators) == [h]
+    assert list(lv_adj._propagators) == [h]
+
+
+def test_nonuniform_grid_marches_raw_steps(lv, lv_adj, monkeypatch):
+    """On a non-uniform grid both routes march np.diff(grid), bit for bit."""
+    T = 10.0
+    grid = np.array([0.0, T / 3, T / 2, T])
+    runs = []
+    for _ in range(2):
+        runs.append([g3(lv, 1, 1, 2, grid, T).values,
+                     g3_via_pqs(lv, lv_adj, 1, 1, 2, grid, T).values,
+                     g25(lv, 1, 2, 2, THETA, grid, T).values,
+                     g25_via_pqs(lv, lv_adj, 1, 2, 2, THETA, grid, T).values])
+        monkeypatch.setattr("rydcorr.correlators.grid_steps", np.diff)
+        monkeypatch.setattr("rydcorr.pqs.grid_steps", np.diff)
+    for stepped, raw in zip(*runs):
+        assert np.array_equal(stepped, raw)
+
+
+def test_short_grids(lv, lv_adj):
+    T = 10.0
+    assert state_chain(lv, 1, []).shape == (0, 81)
+    assert effect_chain(lv_adj, 2, [], T).shape == (0, 81)
+    for three_time in (lambda g: g3(lv, 1, 2, 2, g, T),
+                       lambda g: g3_via_pqs(lv, lv_adj, 1, 2, 2, g, T)):
+        one = three_time([T / 2]).values
+        assert one.shape == (1,)
+        assert one[0] == pytest.approx(three_time([0.0, T / 2, T]).values[1], rel=1e-12)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rydcorr import ModelParams, build_liouvillian, estimate_g2, g2, mcwf_run, propagate, steady_state
-from rydcorr.errors import InsufficientStatisticsError, StepTooLargeError
+from rydcorr import trajectories
+from rydcorr.errors import InsufficientStatisticsError, StepTooLargeError, TooManyStepsError
 from rydcorr.model import dark_state, sigma
 from rydcorr.trajectories import ClickRecord, TrajectoryBatch, write_clicks_csv
 
@@ -116,6 +117,27 @@ def test_step_limit_enforced():
 def test_step_must_be_positive(step):
     with pytest.raises(ValueError, match="step must be positive"):
         mcwf_run(BRIGHT, duration=1.0, step=step, seed=1, count=1)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
+def test_duration_must_be_positive(duration):
+    with pytest.raises(ValueError, match="duration must be positive"):
+        mcwf_run(BRIGHT, duration=duration, step=0.004, seed=1, count=1)
+
+
+def test_step_count_is_bounded(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trajectory generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    for duration in (1e9, float("inf")):
+        with pytest.raises(TooManyStepsError):
+            mcwf_run(BRIGHT, duration=duration, step=0.004, seed=1, count=1)
+    # the jump-probability cap halves this step, doubling a count at the bound
+    step = 0.01 / HIGH_RATE.rabi
+    monkeypatch.setattr(trajectories, "MAX_STEPS", int(5.0 / step) + 1)
+    with pytest.raises(TooManyStepsError, match="halves"):
+        mcwf_run(HIGH_RATE, duration=5.0, step=step, seed=11, count=1)
 
 
 @pytest.mark.parametrize("sample_every", [0, -5])
