@@ -41,6 +41,7 @@ from .errors import (
     RydcorrError,
     StepTooLargeError,
     TooManyStepsError,
+    TooManyTrajectoriesError,
     UnknownFigureError,
     UnknownKeyError,
 )
@@ -60,7 +61,7 @@ from .liouville import (
 )
 from .model import ModelParams, sigma
 from .pqs import effect_chain, state_chain
-from .trajectories import mcwf_run, write_clicks_csv
+from .trajectories import MAX_TRAJECTORIES, mcwf_run, write_clicks_csv
 
 COMMANDS = ("steady", "spectrum", "g2", "g15", "g3", "g25", "ampratio", "figure", "trajectories")
 
@@ -269,10 +270,18 @@ def parse_config(argv) -> RunConfig:
         raise BadValueError(f"dtau must be positive, got {cfg.dtau}")
     if cfg.trajectories < 1:
         raise BadValueError(f"trajectories must be >= 1, got {cfg.trajectories}")
+    if cfg.trajectories > MAX_TRAJECTORIES:
+        raise BadValueError(f"trajectories must be at most {MAX_TRAJECTORIES}, "
+                            f"got {cfg.trajectories}")
     if not cfg.duration > 0:
         raise BadValueError(f"duration must be positive, got {cfg.duration}")
     if cfg.step is not None and not cfg.step > 0:
         raise BadValueError(f"step must be positive, got {cfg.step}")
+    if cfg.out and cfg.command != "figure":
+        out = Path(cfg.out)
+        if not out.name or out.suffix == ".manifest":
+            raise BadValueError(f"out must name a file other than a .manifest file, got "
+                                f"{cfg.out!r}: the run's manifest is written beside it")
     return cfg
 
 
@@ -439,7 +448,8 @@ def _out_path(cfg: RunConfig, default_name: str) -> Path:
 
 
 def _manifest_path(out: Path) -> Path:
-    return out.with_suffix(".manifest") if out.suffix else out / "run.manifest"
+    """Beside the output file: ``g2.csv`` and ``v1`` give ``g2.manifest`` and ``v1.manifest``."""
+    return out.with_suffix(".manifest")
 
 
 def _run_series_command(cfg: RunConfig):
@@ -532,7 +542,7 @@ def _run_trajectories(cfg: RunConfig):
     try:
         batch = mcwf_run(p, duration=cfg.duration, step=step, seed=cfg.seed,
                          count=cfg.trajectories)
-    except (StepTooLargeError, TooManyStepsError) as exc:
+    except (StepTooLargeError, TooManyStepsError, TooManyTrajectoriesError) as exc:
         raise BadValueError(str(exc)) from exc
     out = _out_path(cfg, "clicks.csv")
     write_clicks_csv(batch, out)

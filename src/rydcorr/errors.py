@@ -93,6 +93,10 @@ class TooManyStepsError(RydcorrError):
     """More integration steps per trajectory than the run may take."""
 
 
+class TooManyTrajectoriesError(RydcorrError):
+    """More trajectories in one batch than the run may take."""
+
+
 class NormUnderflowError(RydcorrError):
     """State norm collapsed during jump sampling."""
 

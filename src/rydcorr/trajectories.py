@@ -40,6 +40,7 @@ from .errors import (
     NormUnderflowError,
     StepTooLargeError,
     TooManyStepsError,
+    TooManyTrajectoriesError,
 )
 from .model import DIM_PAIR, ModelParams, jump_operators, pair_hamiltonian
 
@@ -56,6 +57,9 @@ MAX_JUMP_PROBABILITY = 0.1
 RNG_CHUNK_STEPS = 256
 # most steps per trajectory: about 500x the 200,160 of the CLI default run
 MAX_STEPS = 10**8
+# most trajectories per batch: 10x criterion 09's 10^4, 1000x the CLI default;
+# each one holds a Philox generator and a row of the uniform buffer
+MAX_TRAJECTORIES = 10**5
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     it is bisected further, before the run, whenever the worst-case jump
     probability per step dt * max_psi <psi|sum C^+C|psi> would exceed 0.1.
     A run of more than MAX_STEPS steps per trajectory is refused
-    (TooManyStepsError) before anything is allocated.
+    (TooManyStepsError), and so is a batch of more than MAX_TRAJECTORIES
+    trajectories (TooManyTrajectoriesError), before anything is allocated.
     ``initial`` is a normalized 9-component state vector (default: both atoms
     in the ground state). Population statistics are sampled every
     ``sample_every`` steps (default: ~200 samples per run).
@@ -147,6 +152,9 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
         raise ValueError(f"duration must be positive, got {duration}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_TRAJECTORIES:
+        raise TooManyTrajectoriesError(f"a batch of {count} trajectories exceeds the bound of "
+                                       f"{MAX_TRAJECTORIES}; run it as several seeds")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     limit = 0.01 / max(1.0, p.rabi)

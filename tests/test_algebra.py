@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rydcorr import algebra
 from rydcorr.errors import (
+    AccuracyNotMetError,
     DimensionMismatchError,
     NearDefectiveError,
     NonSquareError,
@@ -134,3 +136,12 @@ def test_vectorize_kron_identity():
 def test_devectorize_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         algebra.devectorize(np.zeros(5), 2, 2)
+
+
+def test_expm_self_check_raises_accuracy_not_met(monkeypatch):
+    """An exponential off by 1e-6 relative fails the halving self-check: the
+    square of the (equally corrupted) half step differs from it by about that."""
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: expm(a) * (1.0 + 1e-6))
+    with pytest.raises(AccuracyNotMetError, match="self-check"):
+        algebra.expm(random_complex((9, 9), scale=0.3))

@@ -216,6 +216,34 @@ def test_bad_windows_exit_2(tmp_path, monkeypatch, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, outputs", [
+    (["g2", "--tau-max", "2"], ["v1"]),
+    (["ampratio", "--tau-min", "10", "--tau-max", "10.5"],
+     ["v1_max.csv", "v1_min.csv", "v1_mean.csv"]),
+])
+def test_out_without_suffix(tmp_path, argv, outputs):
+    """--out with no suffix names the series file itself; the manifest goes
+    beside it, as it does for --out g2.csv."""
+    assert cli.main(argv + ["--out", str(tmp_path / "v1")]) == 0
+    manifest = tmp_path / "v1.manifest"
+    entries = dict(line.split(" = ", 1) for line in manifest.read_text().splitlines())
+    assert entries["outputs"] == ";".join(str(tmp_path / name) for name in outputs)
+    assert entries["invariant.overall"] == "pass"
+    for name in outputs:
+        read_series(tmp_path / name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs + ["v1.manifest"])
+
+
+@pytest.mark.parametrize("out", [".", "run.manifest"])
+def test_out_that_cannot_hold_a_series_exits_2(tmp_path, monkeypatch, out):
+    """An --out with no file name, or one the manifest would overwrite, exits 2
+    before any generator is built."""
+    refuse_generators(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["g2", "--out", out]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 DEFAULT_RUNS = ([["figure", name] for name in cli.FIGURES]
                 + [[kind] for kind in ("g2", "g15", "g3", "g25", "ampratio")])
 
@@ -275,6 +303,40 @@ def test_bad_trajectory_duration_exits_2(tmp_path, monkeypatch, duration):
     assert cli.main(["trajectories", "--duration", duration, "--trajectories", "1",
                      "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def refuse_philox(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trajectory generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+
+
+@pytest.mark.parametrize("count", ["100001", "100000000"])
+def test_trajectory_count_over_bound_exits_2(tmp_path, monkeypatch, count):
+    """More than trajectories.MAX_TRAJECTORIES exits 2 at parse time, before a
+    trajectory is drawn (10^8 would have asked for 205 GB of uniforms)."""
+    refuse_philox(monkeypatch)
+    out = tmp_path / "clicks.csv"
+    assert cli.main(["trajectories", "--trajectories", count, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_trajectory_count_bound_of_mcwf_run_exits_2(tmp_path, monkeypatch):
+    """With the parse-time check out of the way, mcwf_run's own bound also
+    ends in exit 2 before any generator is built."""
+    monkeypatch.setattr(cli, "MAX_TRAJECTORIES", 10**9)
+    refuse_philox(monkeypatch)
+    out = tmp_path / "clicks.csv"
+    assert cli.main(["trajectories", "--trajectories", "100001", "--duration", "1",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_default_trajectory_count_far_inside_bound():
+    """The CLI default is a thousandth, criterion 09's 10^4 a tenth, of the bound."""
+    assert cli.parse_config(["trajectories"]).trajectories * 1000 <= trajectories.MAX_TRAJECTORIES
+    assert 10**4 * 10 <= trajectories.MAX_TRAJECTORIES
 
 
 def test_default_trajectory_runs_far_inside_step_bound(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from rydcorr import (
     spectrum,
     steady_state,
 )
-from rydcorr.errors import NegativeDurationError
+from rydcorr.errors import DegenerateSteadyStateError, NegativeDurationError, NotPositiveError
 from rydcorr.liouville import (
     apply_generator,
     check_state,
@@ -232,3 +232,23 @@ def test_spectrum_biorthogonal(lv):
     spec = spectrum(lv)
     overlap = spec.left_modes.conj().T @ spec.right_modes
     assert np.max(np.abs(np.diag(overlap) - 1.0)) < 1e-9
+
+
+def test_undriven_undamped_rydberg_level_raises_degenerate_steady_state():
+    """With omega2 = 0 and neither decay nor dephasing of |3>, each atom keeps
+    |3> apart from its driven |1>-|2> pair: four stationary states, no unique one."""
+    lv0 = build_liouvillian(ModelParams(omega2=0.0, gamma2=0.0, gamma_ph=0.0))
+    with pytest.raises(DegenerateSteadyStateError, match="dimension 4"):
+        steady_state(lv0)
+
+
+def test_negative_eigenvalue_raises_not_positive(params, monkeypatch):
+    """check_state refuses a unit-trace Hermitian matrix with eigenvalue -0.5;
+    steady_state refuses a solution whose smallest eigenvalue (corrupted here)
+    is below POSITIVITY_FLOOR."""
+    with pytest.raises(NotPositiveError):
+        check_state(np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) - 1e-6)
+    with pytest.raises(NotPositiveError):
+        steady_state(build_liouvillian(params))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from rydcorr import (
     propagate,
     steady_state,
 )
-from rydcorr.errors import NegativeDurationError
+from rydcorr.errors import NegativeDurationError, ZeroHistoryProbabilityError
 from rydcorr.model import PairOperator, identity_pair, sigma
 from rydcorr.pqs import ConditionalPair, effect_chain, state_chain
 
@@ -207,15 +209,16 @@ def test_uncoupled_atom1_outcomes_independent_of_posterior_time():
 
 
 def test_uniform_grid_costs_one_exponential_per_generator(params):
-    """Both routes of g3 on a default grid add exactly one forward and one
-    adjoint propagator: the grid's mean step."""
+    """Both routes of g3 on a default grid march the grid's mean step h: the
+    adjoint generator gets that one propagator, the forward one also the
+    block jump of the regression route's suffix march, B h with B = isqrt(N)."""
     lv, lv_adj = build_liouvillian(params), build_adjoint_liouvillian(params)
     T = 10.0
     grid = default_grid(params, 0.0, T)
     g3(lv, 1, 2, 2, grid, T)
     g3_via_pqs(lv, lv_adj, 1, 2, 2, grid, T)
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    assert list(lv._propagators) == [h]
+    assert list(lv._propagators) == [h, math.isqrt(grid.size) * h]
     assert list(lv_adj._propagators) == [h]
 
 
@@ -244,3 +247,10 @@ def test_short_grids(lv, lv_adj):
         one = three_time([T / 2]).values
         assert one.shape == (1,)
         assert one[0] == pytest.approx(three_time([0.0, T / 2, T]).values[1], rel=1e-12)
+
+
+def test_same_atom_coincidence_raises_zero_history_probability(lv, lv_adj):
+    """A count on atom 1 leaves it in the ground state, so a second count on
+    atom 1 at the same instant has probability exactly 0."""
+    with pytest.raises(ZeroHistoryProbabilityError):
+        conditional_pair(lv, lv_adj, 1, 1, 0.0, 0.0)

@@ -5,7 +5,13 @@ import pytest
 
 from rydcorr import ModelParams, build_liouvillian, estimate_g2, g2, mcwf_run, propagate, steady_state
 from rydcorr import trajectories
-from rydcorr.errors import InsufficientStatisticsError, StepTooLargeError, TooManyStepsError
+from rydcorr.errors import (
+    InsufficientStatisticsError,
+    NormUnderflowError,
+    StepTooLargeError,
+    TooManyStepsError,
+    TooManyTrajectoriesError,
+)
 from rydcorr.model import dark_state, sigma
 from rydcorr.trajectories import ClickRecord, TrajectoryBatch, write_clicks_csv
 
@@ -138,6 +144,28 @@ def test_step_count_is_bounded(monkeypatch):
     monkeypatch.setattr(trajectories, "MAX_STEPS", int(5.0 / step) + 1)
     with pytest.raises(TooManyStepsError, match="halves"):
         mcwf_run(HIGH_RATE, duration=5.0, step=step, seed=11, count=1)
+
+
+def test_trajectory_count_is_bounded(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trajectory generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    for count in (trajectories.MAX_TRAJECTORIES + 1, 10**8):
+        with pytest.raises(TooManyTrajectoriesError):
+            mcwf_run(BRIGHT, duration=1.0, step=0.004, seed=1, count=count)
+
+
+def test_null_jump_raises_norm_underflow(monkeypatch):
+    """A jump whose state has no norm left is refused. The jump rule cannot
+    pick a channel of zero weight, so the norm of the jumped states (the
+    only row norms mcwf_run takes outside ``_normalized``) is corrupted."""
+    norm = np.linalg.norm
+    monkeypatch.setattr(trajectories, "_normalized", lambda rows: rows / norm(rows, axis=1)[:, None])
+    monkeypatch.setattr(np.linalg, "norm", lambda x, *args, axis=None, **kwargs:
+                        norm(x, *args, axis=axis, **kwargs) * (0.0 if axis == 1 else 1.0))
+    with pytest.raises(NormUnderflowError, match="null state"):
+        mcwf_run(BRIGHT, duration=20.0, step=0.004, seed=5, count=4)
 
 
 @pytest.mark.parametrize("sample_every", [0, -5])
