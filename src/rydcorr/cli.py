@@ -11,8 +11,10 @@ config file can override them and flags override both.
 Every run writes CSV series (header line, then "tau,value" rows with 12
 significant digits) and a flat key=value manifest echoing the parameters,
 grids, tool version and the state-invariant checks performed along the run.
-Output bytes are deterministic for identical configurations; wall time and
-timestamp live on dedicated manifest lines so they can be filtered out.
+Output bytes are deterministic for identical configurations. Lines that can
+change from run to run (wall time, timestamp, the BLAS thread setting, stage
+timings and work counters; keys in ``VOLATILE_KEYS``) close the manifest, so
+they can be filtered out.
 
 Exit codes: 0 success, 2 configuration error (grids over MAX_GRID_POINTS
 included), 3 numerical-invariant failure, 4 I/O failure.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -61,7 +64,10 @@ from .liouville import (
 )
 from .model import ModelParams, sigma
 from .pqs import effect_chain, state_chain
-from .trajectories import MAX_TRAJECTORIES, mcwf_run, write_clicks_csv
+from .trajectories import MAX_TRAJECTORIES, STREAM, mcwf_run, write_clicks_csv
+
+# manifest keys (or key prefixes) whose values can change between identical runs
+VOLATILE_KEYS = ("timing.", "counter.", "env.", "wall_time_s", "timestamp_utc")
 
 COMMANDS = ("steady", "spectrum", "g2", "g15", "g3", "g25", "ampratio", "figure", "trajectories")
 
@@ -539,11 +545,13 @@ def _run_spectrum(cfg: RunConfig):
 def _run_trajectories(cfg: RunConfig):
     p = cfg.params
     step = cfg.step if cfg.step is not None else 0.005 / max(1.0, p.rabi)
+    t0 = time.perf_counter()
     try:
         batch = mcwf_run(p, duration=cfg.duration, step=step, seed=cfg.seed,
                          count=cfg.trajectories)
     except (StepTooLargeError, TooManyStepsError, TooManyTrajectoriesError) as exc:
         raise BadValueError(str(exc)) from exc
+    run_s = time.perf_counter() - t0
     out = _out_path(cfg, "clicks.csv")
     write_clicks_csv(batch, out)
     lv = build_liouvillian(p)
@@ -553,6 +561,7 @@ def _run_trajectories(cfg: RunConfig):
     n_clicks = sum(len(r) for r in batch.records)
     entries = [
         ("command", "trajectories"),
+        ("stream", STREAM),
         ("seed", str(batch.seed)),
         ("trajectories", str(batch.count)),
         ("duration", f"{batch.duration:.12g}"),
@@ -560,6 +569,10 @@ def _run_trajectories(cfg: RunConfig):
         ("clicks_total", str(n_clicks)),
         ("click_rate_per_atom", _fmt(n_clicks / (2 * batch.count * batch.duration))),
         ("steady_emission_rate", _fmt(np.trace(sigma(1, 2, 2).matrix @ rho).real)),
+        ("timing.mcwf_run_s", f"{run_s:.3f}"),
+        ("counter.mcwf.steps", str(batch.count * round(batch.duration / batch.step))),
+        *((f"counter.mcwf.jumps.c{c}", str(n)) for c, n in enumerate(batch.jumps)),
+        ("counter.mcwf.uniforms", str(batch.count + 2 * sum(batch.jumps))),
     ]
     return entries, log, [out], _manifest_path(out)
 
@@ -601,10 +614,12 @@ def run(cfg: RunConfig) -> int:
         head.append((f"param.{k}", v))
     tail = [("outputs", ";".join(str(o) for o in outputs))]
     tail.extend(log.entries())
-    volatile = [
+    volatile = [e for e in entries if e[0].startswith(VOLATILE_KEYS)] + [
+        ("env.openblas_num_threads", os.environ.get("OPENBLAS_NUM_THREADS", "unset")),
         ("wall_time_s", f"{time.monotonic() - t0:.3f}"),
         ("timestamp_utc", datetime.now(timezone.utc).isoformat()),
     ]
+    entries = [e for e in entries if not e[0].startswith(VOLATILE_KEYS)]
     _write_lines(manifest, (f"{k} = {v}" for k, v in head + entries + tail + volatile))
     if not log.ok:
         print(f"rydcorr: numerical invariant failure; see {manifest}", file=sys.stderr)

@@ -1,24 +1,22 @@
 """Monte Carlo wave-function unraveling of the master equation.
 
 Pure-state trajectories evolve under the non-Hermitian drift
-H - (i/2) sum_c C_c^+ C_c with first-order jump sampling over the six
-channels; a jump applies the channel operator and renormalizes. Only the
-lower-transition channels (C1 of each atom) are recorded as detector clicks;
-upper-level decay and dephasing cause jumps but no clicks.
+H - (i/2) sum_c C_c^+ C_c between jumps over the six channels; a jump applies
+the channel operator and renormalizes. Only the lower-transition channels (C1
+of each atom) are recorded as detector clicks; upper-level decay and
+dephasing cause jumps but no clicks.
+
+Jumps follow the integrated-norm ("waiting-time") rule of Dalibard, Castin &
+Molmer, PRL 68, 580 (1992), and Plenio & Knight, RMP 70, 101 (1998), on a
+fixed step lattice; ``mcwf_run`` states it.
 
 Randomness is counter-based and splittable: trajectory n of a batch with
-seed s draws from Philox4x64-10 keyed by the 128-bit pair (s, n), consuming
-exactly one uniform per step, so batches are reproducible bit-for-bit for a
-fixed (seed, params, duration, step) regardless of how the loop is chunked.
-
-Stepping is thinned (Lewis & Shedler, 1979): a step jumps only when its
-uniform lies below the jump probability of the current state, which for a
-normalized state never exceeds the largest diagonal jump weight. Every
-uniform is drawn, but only those below that bound send their step through
-the jump test; the states between candidates come from cached powers of the
-no-jump propagator. The uniforms and the jump rule are those of step-by-step
-integration, so the clicks are too, unless a uniform falls within roundoff
-of its step's jump probability.
+seed s draws from Philox4x64-10 keyed by the 128-bit pair (s, n), one r at
+its start and then (u, r) per jump (the stream ``STREAM``), so batches are
+reproducible bit-for-bit for a fixed (seed, params, duration, step). A
+trajectory's clicks do not depend on how the steps are blocked, the draws
+chunked or the batch sized, unless a threshold falls within roundoff of a
+squared norm.
 
 The ensemble is an independent statistical oracle for the regression engine:
 ``estimate_g2`` turns recorded click pairs into a normalized delay histogram
@@ -53,8 +51,10 @@ __all__ = [
 ]
 
 CLICK_CHANNELS = (0, 3)  # C1 of atom 1, C1 of atom 2 in the fixed channel order
+STREAM = "philox4x64-10/v2"  # one threshold per start and (channel, threshold) per jump
 MAX_JUMP_PROBABILITY = 0.1
-RNG_CHUNK_STEPS = 256
+MAX_BLOCK_STEPS = 256  # longest block; the powers cache holds U_eff^0 .. U_eff^256
+RNG_CHUNK = 32  # uniforms read from a trajectory's generator at a time
 # most steps per trajectory: about 500x the 200,160 of the CLI default run
 MAX_STEPS = 10**8
 # most trajectories per batch: 10x criterion 09's 10^4, 1000x the CLI default;
@@ -88,6 +88,7 @@ class TrajectoryBatch:
     # run, (count, 3) per atom; their spread gives an honest standard error
     # even when the ensemble mean is carried by a few rare trajectories
     late_half_mean: dict = field(repr=False)
+    jumps: tuple = field(repr=False)  # jumps per channel over the batch, channel order
 
     def late_population(self, atom: int, level: int):
         """Late-half time-averaged population: ensemble (mean, standard error)."""
@@ -107,19 +108,19 @@ def _channel_atom(channel: int) -> int:
     return 1 if channel < 3 else 2
 
 
-def _ground_state() -> np.ndarray:
-    psi = np.zeros(DIM_PAIR, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
 def _normalized(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
-def _apply_powers(states: np.ndarray, powers: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Row ``n`` of ``states`` times ``powers[k[n]]``."""
-    return np.matmul(states[:, None, :], powers[k])[:, 0, :]
+def _row_times(states: np.ndarray, mats: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Row ``n`` of ``states`` times ``mats[k[n]]``."""
+    return np.matmul(states[:, None, :], mats[k])[:, 0, :]
+
+
+def _norm2(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a C-contiguous complex array."""
+    v = rows.view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
 
 
 def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
@@ -137,16 +138,18 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     in the ground state). Population statistics are sampled every
     ``sample_every`` steps (default: ~200 samples per run).
 
-    Step s of a trajectory jumps when its uniform u_s is below
-    p_tot(s) = sum_c dt <psi_s|C_c^+ C_c|psi_s>, on the channel where the
-    cumulative channel weights first exceed u_s; otherwise the state moves
-    by U_eff = exp(-i H_eff dt) and is renormalized. Since psi_s is
-    normalized, p_tot(s) never exceeds the largest diagonal weight, so only
-    steps whose uniform lies below that bound are evaluated (thinning). The
-    run is cut into blocks at every sample step and RNG chunk edge; within a
-    block each trajectory's state at a candidate step is its state at its
-    last jump (or the block start) times a cached power of U_eff, and the
-    block ends with one matrix product per trajectory.
+    Jump rule (stream v2): at its start and after each jump a trajectory
+    draws r and marches its un-normalized state psi_j = psi_0 U_eff^j,
+    U_eff = exp(-i H_eff dt), from that lattice point. It jumps at the first
+    j with |psi_j|^2 < r, clicking at time j dt. It then draws u and takes
+    the first channel whose cumulative weight |C_c psi_j|^2 exceeds u times
+    their sum; the pre-jump state is psi_j, at the click time.
+
+    The run is cut into blocks at every sample step, none longer than
+    MAX_BLOCK_STEPS. As |psi_j|^2 does not increase between jumps, a
+    trajectory jumps in a block exactly when its state at the block end is
+    below r. For those, binary lifting over the cached U_eff^(2^k), one
+    product per power for all of them, finds the last point still >= r.
     """
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -171,10 +174,10 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     cs = [c.matrix for c in jump_operators(p)]
     decay_sum = sum(c.conj().T @ c for c in cs)
     # all six C^+C are diagonal in the product basis, which makes the
-    # per-channel jump probabilities a cheap weighted sum of |psi|^2
+    # per-channel jump weights a cheap weighted sum of |psi|^2
     if np.max(np.abs(decay_sum - np.diag(np.diag(decay_sum)))) > 1e-12:
         raise ValueError("jump-rate matrix unexpectedly non-diagonal")
-    rate_weights = np.stack([np.diag(c.conj().T @ c).real for c in cs])  # (6, 9)
+    rate_weights_t = np.stack([np.diag(c.conj().T @ c).real for c in cs], axis=1)  # (9, 6)
 
     while dt * float(np.diag(decay_sum).real.max()) > MAX_JUMP_PROBABILITY:
         n_steps *= 2
@@ -184,16 +187,10 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
                                 f"takes more than {MAX_STEPS} steps; use a shorter duration")
 
     u_eff = algebra.expm((-1j * h - 0.5 * decay_sum) * dt)
-    u_eff_t = np.ascontiguousarray(u_eff.T)
-    jump_ops_t = [np.ascontiguousarray(c.T) for c in cs]
-    total_weight = rate_weights.sum(axis=0) * dt  # (9,)
-    channel_weight = rate_weights * dt            # (6, 9)
-    # a normalized state jumps with probability at most the largest weight;
-    # the relative margin covers the roundoff of |psi|^2 summing to one
-    p_bound = float(total_weight.max()) * (1 + 1e-9)
+    jump_ops_t = np.stack([c.T for c in cs])  # (6, 9, 9), acting on row vectors
 
     if initial is None:
-        psi0 = _ground_state()
+        psi0 = np.eye(DIM_PAIR, dtype=complex)[0]
     else:
         psi0 = np.asarray(initial, dtype=complex).ravel()
         if psi0.size != DIM_PAIR:
@@ -208,118 +205,119 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
 
-    atom1_groups = [slice(3 * l, 3 * l + 3) for l in range(3)]
-    atom2_idx = [np.arange(l, DIM_PAIR, 3) for l in range(3)]
+    # basis state 3(k1-1) + (k2-1) -> atom 1 in level k1 (columns 0-2), atom 2 in k2 (3-5)
+    level_of = np.hstack([np.kron(np.eye(3), np.ones((3, 1))), np.kron(np.ones((3, 1)), np.eye(3))])
 
-    generators = [
-        np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-        for t in range(count)
-    ]
+    generators = [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+                  for t in range(count)]
+    buffer, used = np.empty((count, RNG_CHUNK)), np.full(count, RNG_CHUNK)
+
+    def draw(rows):
+        """The next double of each listed trajectory; chunks do not change a Philox stream."""
+        empty = rows[used[rows] == RNG_CHUNK]
+        for n in empty.tolist():
+            generators[n].random(out=buffer[n])
+        used[empty] = 0
+        values = buffer[rows, used[rows]]
+        used[rows] += 1
+        return values
 
     sample_times = []
-    mean_rows = {"atom1": [], "atom2": []}
-    sem_rows = {"atom1": [], "atom2": []}
-    late_sums = {"atom1": np.zeros((count, 3)), "atom2": np.zeros((count, 3))}
+    mean_rows, sem_rows = [], []
+    late_sum = np.zeros((count, 6))
     late_samples = 0
     half_time = duration / 2.0
 
     def take_sample(t_now, psi):
-        nonlocal late_samples
+        nonlocal late_samples, late_sum
         absq = psi.real ** 2 + psi.imag ** 2
+        pops = (absq @ level_of) / absq.sum(axis=1)[:, None]
         sample_times.append(t_now)
-        late = t_now >= half_time
-        if late:
+        mean_rows.append(pops.mean(axis=0))
+        sem_rows.append(pops.std(axis=0, ddof=1) / math.sqrt(count) if count > 1
+                        else np.zeros(6))
+        if t_now >= half_time:
             late_samples += 1
-        for name, pops in (
-            ("atom1", np.stack([absq[:, g].sum(axis=1) for g in atom1_groups], axis=1)),
-            ("atom2", np.stack([absq[:, ix].sum(axis=1) for ix in atom2_idx], axis=1)),
-        ):
-            mean_rows[name].append(pops.mean(axis=0))
-            sem_rows[name].append(pops.std(axis=0, ddof=1) / math.sqrt(count) if count > 1
-                                  else np.zeros(3))
-            if late:
-                late_sums[name] += pops
+            late_sum += pops
 
-    # blocks end at every sample step and every RNG chunk edge, so none is
-    # longer than either period; powers[k] = U_eff^k acting on row vectors
+    # blocks end at every sample step and every MAX_BLOCK_STEPS steps, so
+    # none is longer than either; powers[k] = U_eff^k acting on row vectors
     edges = np.union1d(np.arange(0, n_steps, sample_every),
-                       np.arange(0, n_steps, RNG_CHUNK_STEPS)).tolist() + [n_steps]
-    powers = np.empty((min(RNG_CHUNK_STEPS, sample_every, n_steps) + 1, DIM_PAIR, DIM_PAIR),
+                       np.arange(0, n_steps, MAX_BLOCK_STEPS)).tolist() + [n_steps]
+    powers = np.empty((min(MAX_BLOCK_STEPS, sample_every, n_steps) + 1, DIM_PAIR, DIM_PAIR),
                       dtype=complex)
     powers[0] = np.eye(DIM_PAIR)
     for k in range(1, powers.shape[0]):
-        powers[k] = powers[k - 1] @ u_eff_t
+        powers[k] = powers[k - 1] @ u_eff.T
+    lifts = [1 << k for k in reversed(range((powers.shape[0] - 1).bit_length()))]
 
+    # psi[n]: trajectory n's un-normalized no-jump state since its last jump
     psi = np.tile(psi0, (count, 1))
-    uniforms = np.empty((count, min(RNG_CHUNK_STEPS, n_steps)))
-    clicks = []  # (trajectory, step, channel) arrays, one per jump round
+    threshold = draw(np.arange(count))
+    jumps = [(np.zeros(0, dtype=np.intp),) * 3]  # (trajectory, step, channel) per jump round
     for b0, b1 in zip(edges[:-1], edges[1:]):
         if b0 % sample_every == 0:
             take_sample(b0 * dt, psi)
-        chunk_start = b0 - b0 % RNG_CHUNK_STEPS
-        if b0 == chunk_start:
-            # one uniform per step and trajectory; a Philox stream does not
-            # depend on how its draws are chunked
-            chunk_len = min(RNG_CHUNK_STEPS, n_steps - b0)
-            for row, gen in zip(uniforms, generators):
-                gen.random(out=row[:chunk_len])
-        u = uniforms[:, b0 - chunk_start:b1 - chunk_start]
-
-        # candidates: the only steps whose uniform can fall below p_tot,
-        # ordered by trajectory, then step (block-relative)
-        rows, offs = np.nonzero(u < p_bound)
-        # psi[n] stays the normalized state of trajectory n at block step origin[n]
-        origin = np.zeros(count, dtype=np.intp)
+        span = b1 - b0
+        # state[i] is trajectory rows[i] at block step at[i], and end[i] is
+        # its no-jump state at the block end
+        rows, state, at = np.arange(count), psi, np.zeros(count, dtype=np.intp)
+        end = psi @ powers[span]
         while rows.size:
-            phi = _normalized(_apply_powers(psi[rows], powers, offs - origin[rows]))
-            absq = phi.real ** 2 + phi.imag ** 2
-            u_c = u[rows, offs]
-            hit = np.nonzero(u_c < absq @ total_weight)[0]
-            if hit.size == 0:
+            below = _norm2(end) < threshold[rows]
+            state, at = state[below], at[below]
+            psi[rows[~below]] = end[~below]
+            rows = rows[below]
+            if not rows.size:
                 break
-            # the first hit of each trajectory is a jump; its later
-            # candidates are evaluated again from the post-jump state
-            hit = hit[np.r_[True, rows[hit][1:] != rows[hit][:-1]]]
-            cum = np.cumsum(absq[hit] @ channel_weight.T, axis=1)
-            channel = (u_c[hit, None] < cum).argmax(axis=1)
-            for c in np.unique(channel):
-                sel = hit[channel == c]
-                jumped = phi[sel] @ jump_ops_t[c]
-                norms = np.linalg.norm(jumped, axis=1)
-                if np.any(norms < 1e-150):
-                    raise NormUnderflowError(f"jump on channel {c} produced a null state")
-                psi[rows[sel]] = jumped / norms[:, None]
-            jump_rows, jump_offs = rows[hit], offs[hit]
-            origin[jump_rows] = jump_offs + 1
-            is_click = np.isin(channel, CLICK_CHANNELS)
-            clicks.append((jump_rows[is_click], b0 + jump_offs[is_click], channel[is_click]))
-            last_jump = np.full(count, b1 - b0)
-            last_jump[jump_rows] = jump_offs
-            later = offs > last_jump[rows]
-            rows, offs = rows[later], offs[later]
-
-        end = psi @ powers[b1 - b0]
-        moved = np.nonzero(origin)[0]
-        if moved.size:
-            end[moved] = _apply_powers(psi[moved], powers, b1 - b0 - origin[moved])
-        psi = _normalized(end)
+            # binary lifting to the last step at or above r; its norm^2 at
+            # the block end is below r, so it stops short of the end
+            r = threshold[rows]
+            left = span - at
+            for k in lifts:
+                if k > left.max():
+                    continue
+                ahead = state @ powers[k]
+                ok = (k <= left) & (_norm2(ahead) >= r)
+                np.copyto(state, ahead, where=ok[:, None])
+                left[ok] -= k
+            # a search reaches the block end only by roundoff: no jump then
+            done = left == 0
+            psi[rows[done]] = state[done]
+            rows, state, at = rows[~done], state[~done], span - left[~done] + 1
+            # the jump falls on the next step; phi is the no-jump state there
+            phi = _normalized(state @ powers[1])
+            cum = np.cumsum((phi.real ** 2 + phi.imag ** 2) @ rate_weights_t, axis=1)
+            u = draw(rows)
+            channel = (u[:, None] * cum[:, -1:] < cum).argmax(axis=1)
+            after = _row_times(phi, jump_ops_t, channel)
+            norms = np.linalg.norm(after, axis=1)
+            if np.any(norms < 1e-150):
+                c = int(channel[norms.argmin()])
+                raise NormUnderflowError(f"jump on channel {c} produced a null state")
+            state = after / norms[:, None]
+            jumps.append((rows, b0 + at - 1, channel))
+            threshold[rows] = draw(rows)
+            end = _row_times(state, powers, span - at)
     take_sample(n_steps * dt, psi)
 
     per_traj: list[list[ClickRecord]] = [[] for _ in range(count)]
-    if clicks:
-        traj, steps, chans = (np.concatenate(x) for x in zip(*clicks))
-        order = np.lexsort((steps, traj))
-        times = (steps[order] + 1) * dt
-        for idx, c, t_click in zip(traj[order].tolist(), chans[order].tolist(), times.tolist()):
-            per_traj[idx].append(ClickRecord(channel=c, atom=_channel_atom(c), time=t_click))
+    traj, steps, chans = (np.concatenate(x) for x in zip(*jumps))
+    click = np.nonzero(np.isin(chans, CLICK_CHANNELS))[0]
+    click = click[np.lexsort((steps[click], traj[click]))]
+    for idx, c, s in zip(traj[click].tolist(), chans[click].tolist(), steps[click].tolist()):
+        per_traj[idx].append(ClickRecord(channel=c, atom=_channel_atom(c), time=(s + 1) * dt))
     records = tuple(tuple(lst) for lst in per_traj)
+    mean, sem = np.array(mean_rows), np.array(sem_rows)
+    late = late_sum / max(late_samples, 1)
 
     return TrajectoryBatch(
         seed=seed, count=count, duration=duration, step=dt, params=p, records=records,
         sample_times=np.array(sample_times),
-        level_mean={k: np.array(v) for k, v in mean_rows.items()},
-        level_sem={k: np.array(v) for k, v in sem_rows.items()},
-        late_half_mean={k: v / max(late_samples, 1) for k, v in late_sums.items()},
+        level_mean={"atom1": mean[:, :3], "atom2": mean[:, 3:]},
+        level_sem={"atom1": sem[:, :3], "atom2": sem[:, 3:]},
+        late_half_mean={"atom1": late[:, :3], "atom2": late[:, 3:]},
+        jumps=tuple(np.bincount(chans, minlength=len(cs)).tolist()),
     )
 
 

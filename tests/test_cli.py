@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +28,7 @@ def read_series(path):
 def filtered_manifest(path):
     keep = []
     for line in path.read_text().splitlines():
-        if line.startswith(("wall_time_s", "timestamp_utc")):
+        if line.startswith(cli.VOLATILE_KEYS):
             continue
         keep.append(line)
     return "\n".join(keep)
@@ -369,13 +374,53 @@ def test_steady_and_spectrum_commands(tmp_path):
 
 
 def test_trajectories_command(tmp_path):
-    out = tmp_path / "clicks.csv"
-    code = cli.main(["trajectories", "--omega1", "1", "--omega2", "2", "--gamma2", "0.2",
-                     "--gammaph", "0.2", "--trajectories", "100", "--duration", "30",
-                     "--seed", "9", "--out", str(out)])
-    assert code == 0
+    argv = ["trajectories", "--omega1", "1", "--omega2", "2", "--gamma2", "0.2", "--gammaph",
+            "0.2", "--trajectories", "100", "--duration", "30", "--seed", "9"]
+    for tag in ("a", "b"):
+        assert cli.main(argv + ["--out", str(tmp_path / f"{tag}.csv")]) == 0
+    out = tmp_path / "a.csv"
     lines = out.read_text().splitlines()
     assert lines[0] == "trajectory_index,channel,atom,time"
     assert len(lines) > 100  # bright parameters click frequently
-    manifest = (tmp_path / "clicks.manifest").read_text()
-    assert "clicks_total" in manifest and "seed = 9" in manifest
+    assert out.read_bytes() == (tmp_path / "b.csv").read_bytes()
+    manifest = tmp_path / "a.manifest"
+    assert (filtered_manifest(manifest).replace("a.csv", "X")
+            == filtered_manifest(tmp_path / "b.manifest").replace("b.csv", "X"))
+    text = manifest.read_text()
+    assert "clicks_total" in text and "seed = 9" in text
+    keys = manifest_keys(manifest)
+    assert len(keys) == len(set(keys))
+    entries = dict(line.split(" = ", 1) for line in text.splitlines())
+    assert entries["stream"] == trajectories.STREAM == "philox4x64-10/v2"
+    jumps = [int(entries[f"counter.mcwf.jumps.c{c}"]) for c in range(6)]
+    assert jumps[0] + jumps[3] == int(entries["clicks_total"]) == len(lines) - 1
+    steps = int(entries["counter.mcwf.steps"])
+    assert steps == 100 * round(30 / float(entries["step"]))
+    assert int(entries["counter.mcwf.uniforms"]) == 100 + 2 * sum(jumps)
+    assert float(entries["timing.mcwf_run_s"]) >= 0
+    # the volatile lines close the manifest
+    n_volatile = sum(k.startswith(cli.VOLATILE_KEYS) for k in keys)
+    assert all(k.startswith(cli.VOLATILE_KEYS) for k in keys[-n_volatile:])
+    assert n_volatile == 12
+
+
+@pytest.mark.parametrize("setting, recorded", [(None, "1"), ("2", "2")])
+def test_launcher_sets_blas_threads_before_numpy(tmp_path, setting, recorded):
+    """The console-script launcher defaults OPENBLAS_NUM_THREADS to 1 before
+    anything imports numpy, keeps a value the user set, and the manifest
+    records the setting."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    code = ("import sys, rydcorr_launch\n"
+            "if 'numpy' in sys.modules: sys.exit(9)\n"
+            "sys.exit(rydcorr_launch.main())")
+    out = tmp_path / "steady.csv"
+    proc = subprocess.run([sys.executable, "-c", code, "steady", "--out", str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    entries = dict(line.split(" = ", 1)
+                   for line in (tmp_path / "steady.manifest").read_text().splitlines())
+    assert entries["env.openblas_num_threads"] == recorded

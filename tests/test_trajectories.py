@@ -2,9 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rydcorr import ModelParams, build_liouvillian, estimate_g2, g2, mcwf_run, propagate, steady_state
-from rydcorr import trajectories
+from rydcorr import algebra, trajectories
 from rydcorr.errors import (
     InsufficientStatisticsError,
     NormUnderflowError,
@@ -12,7 +13,7 @@ from rydcorr.errors import (
     TooManyStepsError,
     TooManyTrajectoriesError,
 )
-from rydcorr.model import dark_state, sigma
+from rydcorr.model import dark_state, jump_operators, pair_hamiltonian, sigma
 from rydcorr.trajectories import ClickRecord, TrajectoryBatch, write_clicks_csv
 
 from conftest import BRIGHT
@@ -32,6 +33,7 @@ def empty_diag():
         "level_mean": {"atom1": np.zeros((0, 3)), "atom2": np.zeros((0, 3))},
         "level_sem": {"atom1": np.zeros((0, 3)), "atom2": np.zeros((0, 3))},
         "late_half_mean": {"atom1": np.zeros((1, 3)), "atom2": np.zeros((1, 3))},
+        "jumps": (0,) * 6,
     }
 
 
@@ -64,41 +66,134 @@ DARK = ModelParams(gamma2=0.0, gamma_ph=0.0, v12=0.0)
 
 # SHA-256 of the (trajectory, channel, time) float64 records, the click count
 # and two late-half populations, (atom1 level 2 of trajectory 0, atom2 level 3
-# of the last trajectory), as the per-step v1 integrator produced them
-V1_STREAM = {
-    "seed5": (BRIGHT, dict(duration=15.0, step=0.004, seed=5, count=150), 553,
-              "3f4cb7a0aaf4feffa63bdef006100552d83e640dce3594097ad769239421bb0b",
-              0.0962290868189656, 0.20562213573916338),
+# of the last trajectory), as the integrated-norm sampler (stream v2) gives them
+V2_STREAM = {
+    "seed5": (BRIGHT, dict(duration=15.0, step=0.004, seed=5, count=150), 571,
+              "a2c6118227993ba1d1f4f3fb042d9e7fea34cda4f63280a76ad53a5ef5e03b87",
+              0.07246392977565978, 0.18888563027726107),
     # the jump-probability cap halves the step here
-    "high_rate": (HIGH_RATE, dict(duration=5.0, step=0.01 / HIGH_RATE.rabi, seed=11, count=100), 390,
-                  "3fde2c2640624297100864ea649cf8d3d00b31b5e1d15ee3834b6d86e9c49b7e",
-                  0.33305906739504654, 0.053248191106885494),
-    "single": (BRIGHT, dict(duration=40.0, step=0.004, seed=9, count=1), 12,
-               "0b99430148a0ae1323eaa858e07cb6f98d4d82c4de23ae41b30c15c0ddbeb15d",
-               0.11177470962944279, 0.19522246519955438),
-    # samples sparser than the RNG chunk
-    "sparse_samples": (BRIGHT, dict(duration=10.0, step=0.004, seed=13, count=60, sample_every=700), 145,
-                       "b5e92f6d0479b77313f91411d425b8aeb888ee6dd12e945066886956cbe9edaa",
-                       0.04423141669937186, 0.1280017735036395),
+    "high_rate": (HIGH_RATE, dict(duration=5.0, step=0.01 / HIGH_RATE.rabi, seed=11, count=100), 355,
+                  "9d261bb33e9aab8ca23f518ad09420efbc284ea09e9e79e38992adc4837eb196",
+                  0.31764449375736103, 0.014543735207467563),
+    "single": (BRIGHT, dict(duration=40.0, step=0.004, seed=9, count=1), 9,
+               "534e78540efb2311e408fd2783fe57addc0a13c5be27db6102cd9d857247e55b",
+               0.20247842999221694, 0.20240004664304356),
+    # samples sparser than the longest block
+    "sparse_samples": (BRIGHT, dict(duration=10.0, step=0.004, seed=13, count=60, sample_every=700), 138,
+                       "18182253296576805dc2ccc91ae435f2d5ee61dd1b17e4e551330badd3d4e68c",
+                       0.12695203442937128, 0.4177405568773768),
     "dark": (DARK, dict(duration=20.0, step=0.0019, seed=1, count=50), 0,
              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-             0.0, 0.0015974440894568815),
+             0.0, 0.0015974440894568726),
 }
 
 
-@pytest.mark.parametrize("case", sorted(V1_STREAM))
-def test_records_match_v1_stream(case):
-    p, kw, n_clicks, digest, late1, late2 = V1_STREAM[case]
+def click_rows(batch):
+    return [(n, r.channel, r.time) for n, rec in enumerate(batch.records) for r in rec]
+
+
+@pytest.mark.parametrize("case", sorted(V2_STREAM))
+def test_records_match_v2_stream(case):
+    p, kw, n_clicks, digest, late1, late2 = V2_STREAM[case]
     if case == "dark":
         kw = dict(kw, initial=dark_state(p)[1])
     batch = mcwf_run(p, **kw)
     if case == "high_rate":
         assert batch.step < kw["step"]
-    rows = [(n, r.channel, r.time) for n, rec in enumerate(batch.records) for r in rec]
+    rows = click_rows(batch)
     assert len(rows) == n_clicks
     assert hashlib.sha256(np.array(rows, dtype=float).reshape(-1, 3).tobytes()).hexdigest() == digest
     assert abs(batch.late_half_mean["atom1"][0, 1] - late1) < 1e-12
     assert abs(batch.late_half_mean["atom2"][-1, 2] - late2) < 1e-12
+
+
+def stepwise_v2(p, duration, dt, seed, count, initial=None):
+    """The v2 jump rule, one trajectory at a time and one step at a time.
+
+    Returns the click rows (trajectory, channel, time) and the jumps per
+    channel. Trajectory n draws from Philox4x64-10 keyed by (seed, n): r at
+    its start, then u and the next r at each jump. Each step multiplies the
+    un-normalized state by U_eff once; the first lattice point whose squared
+    norm is below r jumps, on the first channel whose cumulative |C_c psi|^2
+    exceeds u times their sum.
+    """
+    n_steps = round(duration / dt)
+    cs_t = [c.matrix.T for c in jump_operators(p)]
+    h_eff = pair_hamiltonian(p).matrix - 0.5j * sum(c.conj() @ c.T for c in cs_t)
+    u_t = algebra.expm(-1j * h_eff * dt).T
+    psi0 = np.zeros(9, dtype=complex)
+    psi0[0] = 1.0
+    if initial is not None:
+        psi0 = initial / np.linalg.norm(initial)
+    rows, jumps = [], [0] * 6
+    for n in range(count):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
+        psi, r = psi0, gen.random()
+        for s in range(n_steps):
+            psi = psi @ u_t
+            if np.vdot(psi, psi).real < r:
+                u = gen.random()
+                cum = np.cumsum([np.vdot(psi @ c, psi @ c).real for c in cs_t])
+                c = int(np.argmax(u * cum[-1] < cum))
+                psi = psi @ cs_t[c]
+                psi = psi / np.linalg.norm(psi)
+                r = gen.random()
+                jumps[c] += 1
+                if c in trajectories.CLICK_CHANNELS:
+                    rows.append((n, c, (s + 1) * dt))
+    return rows, tuple(jumps)
+
+
+STEPWISE_CASES = {
+    "seed5": (BRIGHT, dict(duration=15.0, step=0.004, seed=5, count=40)),
+    "high_rate": (HIGH_RATE, dict(duration=5.0, step=0.01 / HIGH_RATE.rabi, seed=11, count=20)),
+    "single": (BRIGHT, dict(duration=40.0, step=0.004, seed=9, count=1)),
+    "sparse_samples": (BRIGHT, dict(duration=10.0, step=0.004, seed=13, count=20, sample_every=700)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEPWISE_CASES))
+def test_records_match_stepwise_rule(case):
+    p, kw = STEPWISE_CASES[case]
+    batch = mcwf_run(p, **kw)
+    rows, jumps = stepwise_v2(p, kw["duration"], batch.step, kw["seed"], kw["count"])
+    assert len(rows) > 0
+    assert click_rows(batch) == rows
+    assert batch.jumps == jumps
+
+
+def test_records_do_not_depend_on_block_length_or_batch_size():
+    kw = dict(duration=12.0, step=0.004, seed=21, count=30)
+    runs = [mcwf_run(BRIGHT, sample_every=every, **kw) for every in (1, 62, 700)]
+    assert len(click_rows(runs[0])) > 50
+    for other in runs[1:]:
+        assert click_rows(other) == click_rows(runs[0])
+        assert other.jumps == runs[0].jumps
+    alone = mcwf_run(BRIGHT, **dict(kw, count=1))
+    assert len(alone.records[0]) > 0
+    assert alone.records[0] == runs[1].records[0]
+
+
+def test_first_jump_times_follow_no_jump_norm():
+    """With no upper decay or dephasing every jump is a click, so the first
+    click time of a trajectory started in the ground state is its first jump
+    time. On the step lattice its CDF is F(j dt) = 1 - |psi_0 U_eff(j dt)|^2,
+    with U_eff(t) = exp(-i H_eff t) taken afresh at every lattice time. The
+    Kolmogorov-Smirnov distance over the lattice must stay below 1.95/sqrt(n),
+    the 0.1% critical value for a continuous law, which a lattice law can
+    only exceed less often."""
+    p = ModelParams(omega1=1.0, omega2=2.0, v12=1.0, gamma2=0.0, gamma_ph=0.0)
+    n, duration = 4000, 10.0
+    batch = mcwf_run(p, duration=duration, step=0.004, seed=2024, count=n)
+    assert batch.jumps[0] + batch.jumps[3] == sum(batch.jumps)
+    n_steps = round(duration / batch.step)
+    first = np.array([round(rec[0].time / batch.step) for rec in batch.records if rec])
+    empirical = np.searchsorted(np.sort(first), np.arange(1, n_steps + 1), side="right") / n
+    cs = [c.matrix for c in jump_operators(p)]
+    h_eff = pair_hamiltonian(p).matrix - 0.5j * sum(c.conj().T @ c for c in cs)
+    exact = np.array([1.0 - np.linalg.norm(scipy.linalg.expm(-1j * h_eff * j * batch.step)[:, 0]) ** 2
+                      for j in range(1, n_steps + 1)])
+    assert np.max(np.abs(empirical - exact)) < 1.95 / np.sqrt(n)
 
 
 def test_no_lower_drive_means_no_clicks():
