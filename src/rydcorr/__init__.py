@@ -7,7 +7,7 @@ all built on one dense master-equation generator (``liouville``) over the
 operator set of ``model``.
 """
 
-from .model import ModelParams, PairOperator, sigma, pair_hamiltonian, jump_operators, dark_state
+from .model import ModelParams, PairOperator, sigma, pair_hamiltonian, jump_operators
 from .liouville import (
     Liouvillian,
     build_liouvillian,
@@ -18,8 +18,6 @@ from .liouville import (
 )
 from .correlators import (
     CorrelationSeries,
-    EventInsertion,
-    multitime_correlator,
     g2,
     g15,
     g3,
@@ -27,17 +25,7 @@ from .correlators import (
     amplitude_ratio,
     dominant_frequency,
 )
-from .pqs import (
-    POVMSet,
-    ConditionalPair,
-    forward_after_click,
-    backward_before_click,
-    conditional_pair,
-    pqs_probability,
-    pqs_conditional_amplitude,
-    g3_via_pqs,
-    g25_via_pqs,
-)
+from .pqs import g3_via_pqs, g25_via_pqs
 from .trajectories import ClickRecord, TrajectoryBatch, mcwf_run, estimate_g2
 
 __version__ = "0.1.0"
@@ -48,7 +36,6 @@ __all__ = [
     "sigma",
     "pair_hamiltonian",
     "jump_operators",
-    "dark_state",
     "Liouvillian",
     "build_liouvillian",
     "build_adjoint_liouvillian",
@@ -56,21 +43,12 @@ __all__ = [
     "propagate",
     "spectrum",
     "CorrelationSeries",
-    "EventInsertion",
-    "multitime_correlator",
     "g2",
     "g15",
     "g3",
     "g25",
     "amplitude_ratio",
     "dominant_frequency",
-    "POVMSet",
-    "ConditionalPair",
-    "forward_after_click",
-    "backward_before_click",
-    "conditional_pair",
-    "pqs_probability",
-    "pqs_conditional_amplitude",
     "g3_via_pqs",
     "g25_via_pqs",
     "ClickRecord",

@@ -1,11 +1,13 @@
 """Steady-state multi-time correlation functions of the emitted light.
 
-Everything here is built on one primitive: between operator insertions the
-(unnormalized) conditional matrix evolves under the master-equation
-generator, and each insertion multiplies it from the left and/or right.
-A photon count on atom i inserts the pair (s12_i, s21_i); a homodyne
-amplitude insertion multiplies by s21_j on the right only, which is the
-ordering the time-ordered, normally ordered field correlators reduce to.
+Every correlator is a choice of insertion superoperators fed to one kernel,
+``_regression``: between insertions the (unnormalized) conditional matrix
+evolves under the master-equation generator, and each insertion multiplies
+it from the left and/or right. A photon count on atom i is X -> s12_i X
+s21_i; a homodyne amplitude insertion multiplies by s21_j on the right only,
+which is the ordering the time-ordered, normally ordered field correlators
+reduce to. ``_insertion`` writes both as 81x81 superoperators, and the
+past-quantum-state route builds its jumped state with the same one.
 
 Provided correlators (all normalized by products of stationary one-time
 expectations, so uncorrelated signals give 1):
@@ -34,18 +36,13 @@ from .errors import (
     InvariantViolationError,
     NoOscillationError,
     TooFewSamplesError,
-    UnorderedEventsError,
     ZeroEmissionRateError,
 )
-from .liouville import Liouvillian, chain, grid_steps, propagate, steady_state
-from .model import DIM_PAIR, PairOperator, identity_pair, sigma
+from .liouville import Liouvillian, chain, grid_steps, steady_state
+from .model import DIM_PAIR, sigma
 
 __all__ = [
-    "EventInsertion",
     "CorrelationSeries",
-    "multitime_correlator",
-    "count_event",
-    "amplitude_event",
     "g2",
     "g15",
     "g3",
@@ -57,29 +54,6 @@ __all__ = [
 SERIES_KINDS = ("g2", "g15", "g3", "g25", "amplitude_ratio")
 EMISSION_RATE_FLOOR = 1e-14
 IMAG_RESIDUE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EventInsertion:
-    """One insertion: at ``time``, the conditional matrix X becomes left @ X @ right."""
-
-    time: float
-    left: PairOperator
-    right: PairOperator
-
-    def __post_init__(self):
-        if not (np.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"event time must be finite and >= 0, got {self.time}")
-
-
-def count_event(time: float, atom: int) -> EventInsertion:
-    """Photon count on one atom: X -> s12 X s21."""
-    return EventInsertion(time, left=sigma(atom, 1, 2), right=sigma(atom, 2, 1))
-
-
-def amplitude_event(time: float, atom: int) -> EventInsertion:
-    """One-sided amplitude insertion: X -> X s21 (identity on the left)."""
-    return EventInsertion(time, left=identity_pair(), right=sigma(atom, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -97,8 +71,8 @@ class CorrelationSeries:
     def __post_init__(self):
         if self.kind not in SERIES_KINDS:
             raise ValueError(f"unknown series kind {self.kind!r}")
-        grid = np.asarray(self.tau_grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        grid = np.array(self.tau_grid, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if grid.ndim != 1 or grid.size == 0 or grid.shape != vals.shape:
             raise ValueError("tau_grid and values must be equal-length 1-D arrays")
         if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(vals)):
@@ -113,32 +87,6 @@ class CorrelationSeries:
         vals.flags.writeable = False
         object.__setattr__(self, "tau_grid", grid)
         object.__setattr__(self, "values", vals)
-
-
-def multitime_correlator(lv: Liouvillian, rho0: np.ndarray, events, observable: PairOperator,
-                         t_obs: float | None = None) -> complex:
-    """Generic time-ordered correlator, unnormalized.
-
-    Starting from rho0, propagates across each inter-event gap, applies the
-    insertion sandwiches in time order, propagates to ``t_obs`` (default: the
-    last event time) and returns Tr(observable @ X).
-    """
-    events = list(events)
-    times = [ev.time for ev in events]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise UnorderedEventsError(f"event times must be non-decreasing, got {times}")
-    last = times[-1] if times else 0.0
-    if t_obs is None:
-        t_obs = last
-    if t_obs < last:
-        raise UnorderedEventsError(f"observable time {t_obs} precedes last event at {last}")
-
-    x = np.asarray(rho0, dtype=complex)
-    now = 0.0
-    for ev in events:
-        x = ev.left.matrix @ propagate(lv, x, ev.time - now) @ ev.right.matrix
-        now = ev.time
-    return complex(np.trace(observable.matrix @ propagate(lv, x, t_obs - now)))
 
 
 # --- shared plumbing -------------------------------------------------------
@@ -173,9 +121,10 @@ def _check_grid(grid, lo=None, hi=None):
         raise ValueError("tau grid must be a nonempty 1-D array")
     if g.size > 1 and not np.all(np.diff(g) > 0):
         raise ValueError("tau grid must be strictly increasing")
-    if lo is not None and g[0] < lo - 1e-12:
+    # no slack: the march would refuse the negative step to lo or back from hi
+    if lo is not None and g[0] < lo:
         raise ValueError(f"tau grid starts below {lo}")
-    if hi is not None and g[-1] > hi + 1e-12:
+    if hi is not None and g[-1] > hi:
         raise ValueError(f"tau grid ends above {hi}")
     return g
 
@@ -251,25 +200,26 @@ def _normalized(raw: np.ndarray, norm: float, theta: float | None, what: str) ->
 
 
 def _insertion(atom: int, theta: float | None) -> np.ndarray:
-    """Superoperator of a count (theta None) or an amplitude insertion on one
-    atom: X -> left @ X @ right is kron(right.T, left) on column-stacked X."""
-    ev = count_event(0.0, atom) if theta is None else amplitude_event(0.0, atom)
-    return algebra.kron(ev.right.matrix.T, ev.left.matrix)
+    """Superoperator of a count on one atom (theta None), X -> s12 X s21, or of
+    an amplitude insertion, X -> X s21: X -> A X B is kron(B.T, A) on
+    column-stacked X."""
+    right = sigma(atom, 2, 1).matrix
+    left = sigma(atom, 1, 2).matrix if theta is None else np.eye(DIM_PAIR)
+    return algebra.kron(right.T, left)
 
 
-def _regression(lv: Liouvillian, rho: np.ndarray, first: EventInsertion, grid: np.ndarray,
+def _regression(lv: Liouvillian, rho: np.ndarray, first: np.ndarray, grid: np.ndarray,
                 probe: np.ndarray, mid: np.ndarray | None = None,
                 T: float | None = None) -> np.ndarray:
     """The insertion kernel: raw traces Tr(probe @ X) along a delay grid.
 
-    ``first`` is applied to rho at delay 0 and the result is propagated to
-    each grid point. Without ``mid`` the probe is read there; with it, the
-    insertion superoperator ``mid`` acts on every grid point at once and each
-    row is propagated on to T before the probe is read. Event times are
-    ignored: the grid places the insertions.
+    The insertion superoperator ``first`` acts on rho at delay 0 and the
+    result is propagated to each grid point. Without ``mid`` the probe is
+    read there; with it, the insertion superoperator ``mid`` acts on every
+    grid point at once and each row is propagated on to T before the probe
+    is read.
     """
-    x0 = first.left.matrix @ rho @ first.right.matrix
-    rows = chain(lv, x0, np.r_[grid[:1], grid_steps(grid)])
+    rows = chain(lv, first @ algebra.vectorize(rho), np.r_[grid[:1], grid_steps(grid)])
     if mid is not None:
         rows = _suffix_propagate(lv, rows @ mid.T, grid, T)
     # Tr(A @ X) = vec(A.T) . vec(X) under column stacking
@@ -283,7 +233,7 @@ def g2(lv: Liouvillian, i: int, j: int, tau_grid) -> CorrelationSeries:
     grid = _check_grid(tau_grid, lo=0.0)
     rho = steady_state(lv)
     norm = _stationary_norm(rho, (i, j))
-    raw = _regression(lv, rho, count_event(0.0, i), grid, sigma(j, 2, 2).matrix)
+    raw = _regression(lv, rho, _insertion(i, None), grid, sigma(j, 2, 2).matrix)
     vals = _normalized(raw, norm, None, f"g2_{i}{j}")
     return CorrelationSeries(kind="g2", atoms=(i, j), tau_grid=grid, values=vals)
 
@@ -302,12 +252,12 @@ def g15(lv: Liouvillian, i: int, j: int, theta: float, tau_grid) -> CorrelationS
     vals = np.empty(grid.size, dtype=float)
     pos = grid >= 0
     if np.any(pos):
-        raw = _regression(lv, rho, count_event(0.0, i), grid[pos], sigma(j, 2, 1).matrix)
+        raw = _regression(lv, rho, _insertion(i, None), grid[pos], sigma(j, 2, 1).matrix)
         vals[pos] = _normalized(raw, norm, theta, f"g15_{i}{j}")
     neg = ~pos
     if np.any(neg):
         # amplitude first: evolve rho_ss @ s21_j forward by |tau|
-        raw = _regression(lv, rho, amplitude_event(0.0, j), -grid[neg][::-1],
+        raw = _regression(lv, rho, _insertion(j, theta), -grid[neg][::-1],
                           sigma(i, 2, 2).matrix)
         vals[neg] = _normalized(raw, norm, theta, f"g15_{i}{j}")[::-1]
     return CorrelationSeries(kind="g15", atoms=(i, j), tau_grid=grid, values=vals, theta=theta)
@@ -322,7 +272,7 @@ def _three_time(lv, i, j, k, theta, tau_grid, T) -> CorrelationSeries:
         kind, norm = "g3", _stationary_norm(rho, (i, j, k))
     else:
         kind, norm = "g25", _stationary_norm(rho, (i, k), (j, theta))
-    raw = _regression(lv, rho, count_event(0.0, i), grid, sigma(k, 2, 2).matrix,
+    raw = _regression(lv, rho, _insertion(i, None), grid, sigma(k, 2, 2).matrix,
                       mid=_insertion(j, theta), T=T)
     vals = _normalized(raw, norm, theta, f"{kind}_{i}{j}{k}")
     return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
@@ -372,9 +322,8 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
     if np.all(dT == dT[:1]) and Ts[0] / 2.0 >= window:
         rho = steady_state(lv)
         norm = _stationary_norm(rho, (i, k), (j, theta))
-        first = count_event(0.0, i)
         lo0, half = Ts[0] / 2.0 - window, (dT[0] / 2.0 if dT.size else 0.0)
-        starts = chain(lv, first.left.matrix @ rho @ first.right.matrix,
+        starts = chain(lv, _insertion(i, None) @ algebra.vectorize(rho),
                        np.r_[lo0, np.full(Ts.size - 1, half)])
         rel = np.linspace(0.0, 2.0 * window, max(2, int(round(2.0 * window / dtau)) + 1))
         rel_steps = np.r_[0.0, grid_steps(rel)]
@@ -383,7 +332,7 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
         probe = sigma(k, 2, 2).matrix.T.flatten(order="F")
         block = math.isqrt(Ts.size)
         for n, start in enumerate(starts):
-            rows = chain(lv, algebra.devectorize(start, DIM_PAIR, DIM_PAIR), rel_steps) @ mid.T
+            rows = chain(lv, start, rel_steps) @ mid.T
             rows = _suffix_propagate(lv, rows, rel, rel[-1]) @ lead
             rows = _march(lv, rows, np.full(rel.size, n), half, block)
             ratio = _normalized(rows @ probe, norm, theta, f"g25_{i}{j}{k}") / g2_at_T[n]

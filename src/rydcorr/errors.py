@@ -33,10 +33,6 @@ class BadLevelError(RydcorrError):
     """Atomic level index outside {1, 2, 3} (or atom index outside {1, 2})."""
 
 
-class DegenerateDriveError(RydcorrError):
-    """Both Rabi frequencies vanish; the dark state is undefined."""
-
-
 # --- generator / propagation ---
 
 class InvariantViolationError(RydcorrError):
@@ -57,10 +53,6 @@ class NegativeDurationError(RydcorrError):
 
 # --- correlators ---
 
-class UnorderedEventsError(RydcorrError):
-    """Event insertion times must be non-decreasing."""
-
-
 class ZeroEmissionRateError(RydcorrError):
     """A normalization expectation value is numerically zero (dark-state parameters)."""
 
@@ -75,12 +67,6 @@ class TooFewSamplesError(RydcorrError):
 
 class NoOscillationError(RydcorrError):
     """The series has no significant nonzero-frequency component."""
-
-
-# --- past quantum state ---
-
-class ZeroHistoryProbabilityError(RydcorrError):
-    """The conditioning measurement record has vanishing probability."""
 
 
 # --- trajectories ---

@@ -28,7 +28,6 @@ import scipy.linalg
 from . import algebra
 from .errors import (
     DegenerateSteadyStateError,
-    InvariantViolationError,
     NearDefectiveError,
     NegativeDurationError,
     NotPositiveError,
@@ -45,9 +44,7 @@ __all__ = [
     "grid_steps",
     "chain",
     "spectrum",
-    "apply_generator",
     "state_residuals",
-    "check_state",
     "conjugation_defect",
 ]
 
@@ -57,6 +54,7 @@ STEADY_RESIDUAL_TOL = 1e-10
 STEADY_NULLSPACE_RTOL = 1e-10
 POSITIVITY_FLOOR = -1e-8
 
+# density/effect-matrix residuals the run audit accepts (cli.InvariantLog.ok)
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 STATE_EIG_FLOOR = -1e-9
@@ -109,11 +107,6 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
 def build_adjoint_liouvillian(p: ModelParams) -> Liouvillian:
     """Adjoint generator (backward effect-matrix evolution): L^H as a matrix."""
     return Liouvillian(build_liouvillian(p).matrix.conj().T, params=p, adjoint=True)
-
-
-def apply_generator(lv: Liouvillian, x: np.ndarray) -> np.ndarray:
-    """Action of the generator on a 9x9 matrix (devectorized matrix product)."""
-    return algebra.devectorize(lv.matrix @ algebra.vectorize(x), DIM_PAIR, DIM_PAIR)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -202,18 +195,18 @@ def grid_steps(grid) -> np.ndarray:
     return steps
 
 
-def chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
-    """March a 9x9 matrix through successive durations, one row per step.
+def chain(lv: Liouvillian, v0: np.ndarray, steps) -> np.ndarray:
+    """March a column-stacked 9x9 matrix through successive durations, one row per step.
 
-    Row n is vec(x0) propagated by steps[0] + ... + steps[n]; a zero step
-    repeats the previous row without an exponential. ``pqs.state_chain`` and
-    ``pqs.effect_chain`` march forward and backward along a grid, with the
-    steps of ``grid_steps``.
+    Row n is v0 propagated by steps[0] + ... + steps[n]; a zero step repeats
+    the previous row without an exponential, and a negative one raises
+    NegativeDurationError. ``pqs.state_chain`` and ``pqs.effect_chain`` march
+    forward and backward along a grid, with the steps of ``grid_steps``.
     """
     out = np.empty((len(steps), DIM_SUPER), dtype=complex)
-    v = algebra.vectorize(x0)
+    v = np.asarray(v0, dtype=complex)
     for n, dt in enumerate(steps):
-        if dt > 0:
+        if dt != 0:
             v = lv.propagator(dt) @ v
         out[n] = v
     return out
@@ -282,15 +275,3 @@ def state_residuals(m: np.ndarray) -> dict:
     trace_dev = np.hypot(dev.real, dev.imag)  # rounds as abs() of one complex does
     min_eig = np.linalg.eigvalsh(0.5 * (m + dagger)).min(axis=-1)
     return {"trace_dev": trace_dev, "hermiticity": herm, "min_eig": min_eig}
-
-
-def check_state(m: np.ndarray, where: str = "state") -> dict:
-    """Assert the density-matrix invariants; returns the residuals on success."""
-    r = state_residuals(m)
-    if r["hermiticity"] > HERMITICITY_TOL:
-        raise InvariantViolationError(f"{where}: Hermiticity residual {r['hermiticity']:.3e}")
-    if r["trace_dev"] > TRACE_TOL:
-        raise InvariantViolationError(f"{where}: trace deviates from 1 by {r['trace_dev']:.3e}")
-    if r["min_eig"] < STATE_EIG_FLOOR:
-        raise NotPositiveError(f"{where}: minimum eigenvalue {r['min_eig']:.3e}")
-    return r

@@ -17,12 +17,12 @@ the slow (major) index, matching ``kron(op_atom1, op_atom2)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .errors import BadLevelError, DegenerateDriveError
+from .errors import BadLevelError
 
 __all__ = [
     "ModelParams",
@@ -33,9 +33,6 @@ __all__ = [
     "single_atom_hamiltonian",
     "pair_hamiltonian",
     "jump_operators",
-    "dark_state",
-    "identity_pair",
-    "atom_swap",
 ]
 
 DIM_ATOM = 3
@@ -92,10 +89,6 @@ class PairOperator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dagger(self) -> np.ndarray:
-        return self.matrix.conj().T
-
 
 def _check_level(k):
     if k not in (1, 2, 3):
@@ -126,10 +119,6 @@ def sigma(j, k, l) -> PairOperator:
     else:
         m = algebra.kron(eye, local)
     return PairOperator(m, label=f"sigma_{k}{l}^({j})")
-
-
-def identity_pair() -> PairOperator:
-    return PairOperator(np.eye(DIM_PAIR, dtype=complex), label="I")
 
 
 def single_atom_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -166,28 +155,3 @@ def jump_operators(p: ModelParams) -> list[PairOperator]:
         ops.append(PairOperator(c2, label=f"C2^({j})"))
         ops.append(PairOperator(c3, label=f"C3^({j})"))
     return ops
-
-
-def dark_state(p: ModelParams):
-    """Unit-norm dark state (conj(omega1)|3> - omega2|1>)/rabi and the pair product state.
-
-    Returns ``(single, pair)`` where ``pair = kron(single, single)``. The state
-    annihilates the single-atom Hamiltonian when omega1*omega2 is real (it has
-    no |2> component, so it never radiates).
-    """
-    if p.rabi <= 0:
-        raise DegenerateDriveError("both Rabi frequencies vanish")
-    d = np.zeros(DIM_ATOM, dtype=complex)
-    d[2] = np.conj(p.omega1) / p.rabi
-    d[0] = -p.omega2 / p.rabi
-    pair = np.kron(d, d)
-    return d, pair
-
-
-def atom_swap() -> np.ndarray:
-    """Permutation matrix exchanging the two atoms: |k1 k2> -> |k2 k1>."""
-    s = np.zeros((DIM_PAIR, DIM_PAIR))
-    for k1 in range(DIM_ATOM):
-        for k2 in range(DIM_ATOM):
-            s[DIM_ATOM * k2 + k1, DIM_ATOM * k1 + k2] = 1.0
-    return s

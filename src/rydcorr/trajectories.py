@@ -62,9 +62,9 @@ MAX_STEPS = 10**8
 MAX_TRAJECTORIES = 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClickRecord:
-    """One detected lower-transition photon."""
+    """One detected lower-transition photon; slotted, since a batch can hold 10^5 and more."""
 
     channel: int
     atom: int

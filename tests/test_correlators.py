@@ -13,37 +13,32 @@ from rydcorr import (
     g15,
     g25,
     g3,
-    multitime_correlator,
     steady_state,
 )
-from rydcorr.correlators import (
-    CorrelationSeries,
-    _insertion,
-    _suffix_propagate,
-    amplitude_event,
-    count_event,
-)
+from rydcorr.algebra import vectorize
+from rydcorr.correlators import CorrelationSeries, _insertion, _suffix_propagate
 from rydcorr.errors import (
     DegenerateQuadratureError,
     NoOscillationError,
     TooFewSamplesError,
-    UnorderedEventsError,
     ZeroEmissionRateError,
 )
 from rydcorr.liouville import chain, grid_steps
-from rydcorr.model import identity_pair, sigma
+from rydcorr.model import PairOperator, sigma
 
 from conftest import THETA, default_grid, rel_close, series_rel_close
+from oracles import amplitude_event, count_event, multitime_correlator
 
 
 def steady_population(rho, atom):
     return np.trace(sigma(atom, 2, 2).matrix @ rho).real
 
 
-# --- generic engine ----------------------------------------------------------
+# --- pointwise oracle and insertions ------------------------------------------
 
 def test_multitime_no_events_identity(lv, rho_ss):
-    assert multitime_correlator(lv, rho_ss, [], identity_pair()) == pytest.approx(1.0, abs=1e-12)
+    identity = PairOperator(np.eye(9))
+    assert multitime_correlator(lv, rho_ss, [], identity) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_multitime_no_events_population(lv, rho_ss):
@@ -58,16 +53,23 @@ def test_multitime_click_empties_excited_state(lv, rho_ss):
 
 def test_multitime_rejects_unordered(lv, rho_ss):
     events = [count_event(1.0, 1), count_event(0.5, 2)]
-    with pytest.raises(UnorderedEventsError):
+    with pytest.raises(ValueError):
         multitime_correlator(lv, rho_ss, events, sigma(1, 2, 2))
-    with pytest.raises(UnorderedEventsError):
+    with pytest.raises(ValueError):
         multitime_correlator(lv, rho_ss, [count_event(2.0, 1)], sigma(1, 2, 2), t_obs=1.0)
 
 
-def test_amplitude_event_sides():
-    ev = amplitude_event(0.0, 2)
-    assert np.array_equal(ev.left.matrix, np.eye(9))
-    assert np.array_equal(ev.right.matrix, sigma(2, 2, 1).matrix)
+def test_insertion_superoperators(rho_ss):
+    """On column-stacked X, a count is X -> s12 X s21 and an amplitude
+    insertion X -> X s21, whatever the phase: both exactly, since their
+    entries are 0 and 1."""
+    x = rho_ss + 0.3j * np.triu(np.arange(81.0).reshape(9, 9), 1)
+    for atom in (1, 2):
+        count = sigma(atom, 1, 2).matrix @ x @ sigma(atom, 2, 1).matrix
+        assert np.array_equal(_insertion(atom, None) @ vectorize(x), vectorize(count))
+        for theta in (0.0, THETA):
+            amplitude = _insertion(atom, theta) @ vectorize(x)
+            assert np.array_equal(amplitude, vectorize(x @ sigma(atom, 2, 1).matrix))
 
 
 # --- g2 -----------------------------------------------------------------------
@@ -144,6 +146,7 @@ def test_g3_cross_coincidence_positive(lv, params):
 
 
 def test_g3_zero_delay_matches_double_insertion(lv, rho_ss):
+    """g3 at tau = 0 against the oracle's two counts at the same instant."""
     T = 5.0
     events = [count_event(0.0, 1), count_event(0.0, 2)]
     raw = multitime_correlator(lv, rho_ss, events, sigma(2, 2, 2), t_obs=T)
@@ -242,8 +245,7 @@ def test_blocked_suffix_march_error(lv, rho_ss):
     errors = {}
     for n in (81, 638):
         grid = np.linspace(0.0, T, n)
-        first = count_event(0.0, 1)
-        rows = chain(lv, first.left.matrix @ rho_ss @ first.right.matrix,
+        rows = chain(lv, _insertion(1, None) @ vectorize(rho_ss),
                      np.r_[0.0, grid_steps(grid)]) @ _insertion(1, THETA).T
         exact = rows.astype(np.clongdouble)
         power = expm_extended(lv.matrix * grid_steps(grid)[0]).T
@@ -388,3 +390,14 @@ def test_series_invariant_same_atom_zero():
     grid = np.array([0.0, 1.0])
     with pytest.raises(Exception):
         CorrelationSeries(kind="g2", atoms=(1, 1), tau_grid=grid, values=np.array([0.5, 1.0]))
+
+
+def test_series_copies_the_callers_grid(lv):
+    """A series freezes its own copy of the grid, never the caller's array."""
+    grid = np.linspace(0.0, 5.0, 41)
+    series = g2(lv, 1, 2, grid)
+    assert series.tau_grid is not grid and np.array_equal(series.tau_grid, grid)
+    assert not series.tau_grid.flags.writeable
+    grid[0] = 0.0  # still the caller's to write
+    with pytest.raises(ValueError):
+        series.tau_grid[0] = 1.0

@@ -9,15 +9,13 @@ from rydcorr import (
     spectrum,
     steady_state,
 )
+from rydcorr.algebra import devectorize, vectorize
+from rydcorr.cli import InvariantLog
 from rydcorr.errors import DegenerateSteadyStateError, NegativeDurationError, NotPositiveError
-from rydcorr.liouville import (
-    apply_generator,
-    check_state,
-    conjugation_defect,
-    grid_steps,
-    state_residuals,
-)
-from rydcorr.model import dark_state, jump_operators, pair_hamiltonian, sigma
+from rydcorr.liouville import conjugation_defect, grid_steps, state_residuals
+from rydcorr.model import jump_operators, pair_hamiltonian, sigma
+
+from oracles import dark_state
 
 RNG = np.random.default_rng(42)
 
@@ -52,6 +50,11 @@ def adjoint_direct(p, x):
         cd = m.conj().T
         out += cd @ x @ m - 0.5 * (cd @ m @ x + x @ cd @ m)
     return out
+
+
+def apply_generator(lv, x):
+    """The generator's action on a 9x9 matrix: lv.matrix @ vec(x), devectorized."""
+    return devectorize(lv.matrix @ vectorize(x), 9, 9)
 
 
 def assemble(h, cs):
@@ -214,8 +217,9 @@ def test_grid_steps_keeps_raw_steps_otherwise():
 def test_propagation_preserves_state_invariants(lv):
     rho = sigma(1, 1, 2).matrix @ steady_state(lv) @ sigma(1, 2, 1).matrix
     rho = rho / np.trace(rho).real
-    for t in np.linspace(0.1, 8.0, 20):
-        check_state(propagate(lv, rho, t), where=f"t={t}")
+    log = InvariantLog()
+    log.add_states([propagate(lv, rho, t) for t in np.linspace(0.1, 8.0, 20)])
+    assert log.checked == 20 and log.ok
 
 
 def test_spectrum_structure(lv, rho_ss):
@@ -243,11 +247,12 @@ def test_undriven_undamped_rydberg_level_raises_degenerate_steady_state():
 
 
 def test_negative_eigenvalue_raises_not_positive(params, monkeypatch):
-    """check_state refuses a unit-trace Hermitian matrix with eigenvalue -0.5;
+    """The run audit fails a unit-trace Hermitian matrix with eigenvalue -0.5;
     steady_state refuses a solution whose smallest eigenvalue (corrupted here)
     is below POSITIVITY_FLOOR."""
-    with pytest.raises(NotPositiveError):
-        check_state(np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+    log = InvariantLog()
+    log.add_states(np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+    assert log.min_eig == -0.5 and not log.ok
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) - 1e-6)
     with pytest.raises(NotPositiveError):

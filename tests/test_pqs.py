@@ -5,30 +5,21 @@ import pytest
 
 from rydcorr import (
     ModelParams,
-    POVMSet,
-    backward_before_click,
     build_adjoint_liouvillian,
     build_liouvillian,
-    conditional_pair,
-    forward_after_click,
-    g2,
     g3,
     g3_via_pqs,
     g15,
     g25,
     g25_via_pqs,
-    pqs_conditional_amplitude,
-    pqs_probability,
     propagate,
     steady_state,
 )
-from rydcorr.errors import NegativeDurationError, ZeroHistoryProbabilityError
-from rydcorr.model import PairOperator, identity_pair, sigma
-from rydcorr.pqs import ConditionalPair, effect_chain, state_chain
+from rydcorr.errors import NegativeDurationError
+from rydcorr.model import sigma
+from rydcorr.pqs import effect_chain, state_chain
 
-from conftest import THETA, default_grid, rel_close, series_rel_close
-
-RNG = np.random.default_rng(99)
+from conftest import THETA, default_grid, series_rel_close
 
 
 def partial_trace_atom2(m):
@@ -40,26 +31,19 @@ def partial_trace_atom1(m):
     return m.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2)
 
 
-def projective_povm(atom):
-    s22 = sigma(atom, 2, 2)
-    rest = PairOperator(np.eye(9) - s22.matrix, label=f"not-excited({atom})")
-    return POVMSet(effects=(s22, rest), labels=("excited", "not-excited"))
+def square(rows):
+    """9x9 matrices of column-stacked chain rows."""
+    return rows.reshape(-1, 9, 9).transpose(0, 2, 1)
 
 
-def random_unitary_povm(outcomes=3):
-    weights = RNG.dirichlet(np.ones(outcomes))
-    effects = []
-    for w in weights:
-        m = RNG.standard_normal((9, 9)) + 1j * RNG.standard_normal((9, 9))
-        q, _ = np.linalg.qr(m)
-        effects.append(PairOperator(np.sqrt(w) * q, label=f"u{w:.3f}"))
-    return POVMSet(effects=tuple(effects), labels=tuple(str(k) for k in range(outcomes)))
+def forward_after_click(lv, i, tau):
+    """rho_c a time tau after a count on atom i, from the forward chain."""
+    return square(state_chain(lv, i, [tau]))[0]
 
 
-def test_povm_completeness_enforced():
-    s22 = sigma(1, 2, 2)
-    with pytest.raises(ValueError):
-        POVMSet(effects=(s22,), labels=("only",))
+def backward_before_click(lv_adj, k, remaining):
+    """E a time ``remaining`` before a count on atom k, from the backward chain."""
+    return square(effect_chain(lv_adj, k, [0.0], remaining))[0]
 
 
 def test_forward_after_click_initial_factorization(lv):
@@ -98,13 +82,30 @@ def test_backward_long_time_reaches_scaled_identity(lv_adj, rho_ss):
 
 
 def test_backward_rejects_negative(lv_adj):
+    """A grid that runs past T would march the effect back by a negative time."""
     with pytest.raises(NegativeDurationError):
-        backward_before_click(lv_adj, 2, -1.0)
+        effect_chain(lv_adj, 2, [0.0, 5.0], 3.0)
+
+
+def test_backward_needs_the_adjoint_generator(lv):
+    """The forward generator would march E the wrong way."""
+    with pytest.raises(ValueError, match="adjoint"):
+        effect_chain(lv, 2, [0.0], 1.0)
 
 
 def test_forward_rejects_negative(lv):
     with pytest.raises(NegativeDurationError):
-        forward_after_click(lv, 1, -1.0)
+        state_chain(lv, 1, [-1.0])
+
+
+def test_grid_outside_its_window_is_refused_by_both_routes(lv, lv_adj):
+    """Even by 1e-13 at either end: the chains would march backwards there."""
+    T = 5.0
+    for grid in (np.linspace(-1e-13, T, 11), np.linspace(0.0, T + 1e-13, 11)):
+        with pytest.raises(ValueError, match="tau grid"):
+            g3(lv, 1, 2, 2, grid, T)
+        with pytest.raises(ValueError, match="tau grid"):
+            g3_via_pqs(lv, lv_adj, 1, 2, 2, grid, T)
 
 
 def test_backward_identity_invariant(lv_adj):
@@ -122,59 +123,30 @@ def test_backward_uncoupled_atom1_factor_stays_identity():
         assert np.max(np.abs(e - np.kron(np.eye(3), e2))) < 1e-10
 
 
-def test_pqs_probability_reduces_to_born(lv, lv_adj):
-    pair = ConditionalPair(rho_c=forward_after_click(lv, 1, 1.3), effect=np.eye(9),
-                           tau=1.3, T=1.3)
-    povm = projective_povm(2)
-    probs = pqs_probability(pair, povm)
-    born = [np.trace(om.matrix @ pair.rho_c @ om.dagger).real for om in povm.effects]
-    assert np.allclose(probs, born, atol=1e-12)
-
-
-def test_pqs_probability_uniform_state():
-    povm = random_unitary_povm()
-    pair = ConditionalPair(rho_c=np.eye(9) / 9.0, effect=np.eye(9), tau=0.0, T=0.0)
-    probs = pqs_probability(pair, povm)
-    expected = [np.trace(om.matrix @ om.dagger).real / 9.0 for om in povm.effects]
-    assert np.allclose(probs, expected, atol=1e-12)
-
-
-def test_pqs_probability_normalized_nonnegative(lv, lv_adj):
-    povm = random_unitary_povm(4)
-    for tau in (0.5, 2.0, 4.5):
-        pair = conditional_pair(lv, lv_adj, 1, 2, tau, 5.0)
-        probs = pqs_probability(pair, povm)
-        assert np.all(probs >= 0)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
-
-
 def test_pqs_click_weight_matches_g3(lv, lv_adj, rho_ss):
-    # posterior-conditioned click weight against the regression-route correlator
+    """The chains' click weight Tr(s12 rho_c s21 E) at tau, between counts on
+    atoms 1 and 2 at 0 and T, against the regression route's g3 (1, 2, 2)."""
     T = 6.0
+    grid = np.array([0.0, 2.1, T])
     p2 = np.trace(sigma(2, 2, 2).matrix @ rho_ss).real
-    for tau in (0.0, 2.1, T):
-        pair = conditional_pair(lv, lv_adj, 1, 2, tau, T)
-        om = sigma(2, 1, 2)
-        weight = np.trace(om.matrix @ pair.rho_c @ om.dagger @ pair.effect).real
-        expected = g3(lv, 1, 2, 2, np.array([tau]), T).values[0] * p2 * p2
-        assert weight == pytest.approx(expected, rel=1e-10, abs=1e-16)
+    s12, s21 = sigma(2, 1, 2).matrix, sigma(2, 2, 1).matrix
+    pairs = zip(square(state_chain(lv, 1, grid)), square(effect_chain(lv_adj, 2, grid, T)))
+    weights = np.array([np.trace(s12 @ rho_c @ s21 @ e).real for rho_c, e in pairs])
+    expected = g3(lv, 1, 2, 2, grid, T).values * p2 * p2
+    assert weights == pytest.approx(expected, rel=1e-10, abs=1e-16)
 
 
-def test_pqs_amplitude_theta_sign_flip(lv, lv_adj):
-    pair = conditional_pair(lv, lv_adj, 1, 2, 3.0, 10.0)
-    a = pqs_conditional_amplitude(pair, 2, 0.7)
-    b = pqs_conditional_amplitude(pair, 2, 0.7 + np.pi)
-    assert a == pytest.approx(-b, rel=1e-12)
-
-
-def test_pqs_amplitude_with_trivial_effect_matches_g15(lv, lv_adj, rho_ss, params):
-    q2 = (np.exp(1j * THETA) * np.trace(sigma(2, 2, 1).matrix @ rho_ss)).real
-    for tau in (0.4, 1.7, 6.0):
-        pair = ConditionalPair(rho_c=forward_after_click(lv, 1, tau), effect=np.eye(9),
-                               tau=tau, T=tau)
-        amp = pqs_conditional_amplitude(pair, 2, THETA)
-        transient = g15(lv, 1, 2, THETA, np.array([tau])).values[0]
-        assert amp == pytest.approx(transient * q2, rel=1e-10)
+def test_pqs_amplitude_with_trivial_effect_matches_g15(lv, rho_ss):
+    """With the trivial effect E = I, the conditioned amplitude
+    Re[e^{i theta} Tr(E rho_c s21)] / Tr(E rho_c) after a count is g15 at
+    tau > 0 times the stationary mean quadrature."""
+    s21 = sigma(2, 2, 1).matrix
+    q2 = (np.exp(1j * THETA) * np.trace(s21 @ rho_ss)).real
+    grid = np.array([0.4, 1.7, 6.0])
+    amps = np.array([(np.exp(1j * THETA) * np.trace(rho_c @ s21)).real / np.trace(rho_c).real
+                     for rho_c in square(state_chain(lv, 1, grid))])
+    transient = g15(lv, 1, 2, THETA, grid).values
+    assert amps == pytest.approx(transient * q2, rel=1e-10)
 
 
 def test_route_equivalence_three_time_intensity(lv, lv_adj, params):
@@ -194,18 +166,20 @@ def test_route_equivalence_three_time_amplitude(lv, lv_adj, params):
 
 
 def test_uncoupled_atom1_outcomes_independent_of_posterior_time():
+    """Without the interaction, whether atom 1 is excited at tau after its own
+    count, Tr(s22_1 rho_c E) / Tr(rho_c E), does not depend on when atom 2
+    is later counted."""
     p0 = ModelParams(v12=0.0)
     lv0 = build_liouvillian(p0)
     lv_adj0 = build_adjoint_liouvillian(p0)
-    povm = projective_povm(1)
     tau = 1.2
-    baseline = None
+    rho_c = forward_after_click(lv0, 1, tau)
+    excited = []
     for T in (tau, 3.0, 7.0, 15.0):
-        pair = conditional_pair(lv0, lv_adj0, 1, 2, tau, T)
-        probs = pqs_probability(pair, povm)
-        if baseline is None:
-            baseline = probs
-        assert np.max(np.abs(probs - baseline)) < 1e-10
+        e = backward_before_click(lv_adj0, 2, T - tau)
+        excited.append(np.trace(sigma(1, 2, 2).matrix @ rho_c @ e).real / np.trace(rho_c @ e).real)
+    assert np.ptp(excited) < 1e-10
+    assert excited[0] == pytest.approx(np.trace(sigma(1, 2, 2).matrix @ rho_c).real, abs=1e-10)
 
 
 def test_uniform_grid_costs_one_exponential_per_generator(params):
@@ -247,10 +221,3 @@ def test_short_grids(lv, lv_adj):
         one = three_time([T / 2]).values
         assert one.shape == (1,)
         assert one[0] == pytest.approx(three_time([0.0, T / 2, T]).values[1], rel=1e-12)
-
-
-def test_same_atom_coincidence_raises_zero_history_probability(lv, lv_adj):
-    """A count on atom 1 leaves it in the ground state, so a second count on
-    atom 1 at the same instant has probability exactly 0."""
-    with pytest.raises(ZeroHistoryProbabilityError):
-        conditional_pair(lv, lv_adj, 1, 1, 0.0, 0.0)

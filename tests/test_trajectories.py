@@ -13,10 +13,11 @@ from rydcorr.errors import (
     TooManyStepsError,
     TooManyTrajectoriesError,
 )
-from rydcorr.model import dark_state, jump_operators, pair_hamiltonian, sigma
+from rydcorr.model import jump_operators, pair_hamiltonian, sigma
 from rydcorr.trajectories import ClickRecord, TrajectoryBatch, write_clicks_csv
 
 from conftest import BRIGHT
+from oracles import dark_state
 
 GROUND = np.zeros((9, 9), dtype=complex)
 GROUND[0, 0] = 1.0
