@@ -59,15 +59,10 @@ def _require_square(a, name="matrix"):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (descending real part) with right and optional left eigenvectors.
-
-    Right eigenvectors are the columns of ``right_eigenvectors``; when present,
-    ``left_eigenvectors[:, k]`` satisfies ``l_k^H M = w_k l_k^H``.
-    """
+    """Eigenvalues (descending real part) with the right eigenvectors as columns."""
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
-    left_eigenvectors: np.ndarray | None = None
 
 
 def kron(a, b):
@@ -94,7 +89,7 @@ def expm(m):
     return full
 
 
-def eig(m, left=False):
+def eig(m):
     """Eigendecomposition sorted by descending real part.
 
     Verifies the residual ``||M v - w v|| <= 1e-8 ||M|| ||v||`` for every pair
@@ -102,16 +97,10 @@ def eig(m, left=False):
     """
     a = _as_matrix(m)
     _require_square(a)
-    if left:
-        w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
-    else:
-        w, vr = scipy.linalg.eig(a)
-        vl = None
+    w, vr = scipy.linalg.eig(a)
     order = np.lexsort((-w.imag, -w.real))
     w = w[order]
     vr = vr[:, order]
-    if vl is not None:
-        vl = vl[:, order]
 
     cond = np.linalg.cond(vr)
     if cond > EIG_CONDITION_LIMIT:
@@ -124,7 +113,7 @@ def eig(m, left=False):
     if np.any(residual > bound):
         worst = float(np.max(residual / np.maximum(bound, 1e-300)))
         raise AccuracyNotMetError(f"eigenpair residual exceeds contract by factor {worst:.3e}")
-    return EigenDecomposition(eigenvalues=w, right_eigenvectors=vr, left_eigenvectors=vl)
+    return EigenDecomposition(eigenvalues=w, right_eigenvectors=vr)
 
 
 def vectorize(m):

@@ -4,9 +4,12 @@ Usage:
     rydcorr <command> [figure-name] [flags]
 
 Commands: steady, spectrum, g2, g15, g3, g25, ampratio, figure, trajectories.
-Parameters default to the reference set (omega1=0.2, omega2=5, v12=1,
-gamma2=1e-4, gamma_ph=1e-4, all in units of gamma1); a flat "key = value"
-config file can override them and flags override both.
+Each setting is one row of ``OPTIONS``: a config key (its flag is the key
+with "_" written as "-"), a converter and a default; the model parameters
+default to the reference set of ``ModelParams``. Flags override a flat
+"key = value" config file, which overrides the defaults. A value from either
+source passes the same converter, and a bad one (not a finite number, or out
+of its setting's range) exits 2.
 
 Every run writes CSV series (header line, then "tau,value" rows with 12
 significant digits) and a flat key=value manifest echoing the parameters,
@@ -23,6 +26,7 @@ included), 3 numerical-invariant failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -42,9 +46,6 @@ from .errors import (
     IoFailureError,
     MissingCommandError,
     RydcorrError,
-    StepTooLargeError,
-    TooManyStepsError,
-    TooManyTrajectoriesError,
     UnknownFigureError,
     UnknownKeyError,
 )
@@ -70,12 +71,6 @@ from .trajectories import MAX_TRAJECTORIES, STREAM, mcwf_run, write_clicks_csv
 VOLATILE_KEYS = ("timing.", "counter.", "env.", "wall_time_s", "timestamp_utc")
 
 COMMANDS = ("steady", "spectrum", "g2", "g15", "g3", "g25", "ampratio", "figure", "trajectories")
-
-CONFIG_KEYS = {
-    "omega1", "omega2", "v12", "gamma2", "gammaph", "theta", "t_sep",
-    "tau_min", "tau_max", "dtau", "atoms", "seed", "trajectories",
-    "duration", "step", "out",
-}
 
 # largest grid a run may build: a chain of this many rows of vec(9x9) is 85 MB
 MAX_GRID_POINTS = 65_536
@@ -114,41 +109,73 @@ RECIPES = {
 FIGURES = tuple(RECIPES)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run description (flags > config file > defaults)."""
-
-    command: str
-    params: ModelParams
-    figure: str | None = None
-    atoms: tuple = ()
-    theta: float = math.pi / 2
-    t_sep: float = 10.0
-    tau_min: float | None = None
-    tau_max: float | None = None
-    dtau: float | None = None
-    seed: int = 1
-    trajectories: int = 100
-    duration: float = 200.0
-    step: float | None = None
-    out: str | None = None
-
-
-def _parse_number(key, text):
+def _number(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise BadValueError(f"{key} must be numeric, got {text!r}") from None
+    if not math.isfinite(value):
+        raise BadValueError(f"{key} must be finite, got {text!r}")
+    return value
 
 
-def _parse_atoms(text):
+def _positive(key, text):
+    value = _number(key, text)
+    if value <= 0:
+        raise BadValueError(f"{key} must be positive, got {text!r}")
+    return value
+
+
+def _integer(key, text, lo, hi):
     try:
-        atoms = tuple(int(x) for x in str(text).split(","))
+        value = int(text)
     except ValueError:
-        raise BadValueError(f"atoms must be comma-separated integers, got {text!r}") from None
-    if not atoms or any(a not in (1, 2) for a in atoms):
+        raise BadValueError(f"{key} must be an integer, got {text!r}") from None
+    if not lo <= value <= hi:
+        raise BadValueError(f"{key} must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
+def _trajectories(key, text):
+    # the bound is read at call time, so a bound set on the module is seen
+    return _integer(key, text, 1, MAX_TRAJECTORIES)
+
+
+def _seed(key, text):
+    return _integer(key, text, 0, 2**64 - 1)  # the range of a Philox key word
+
+
+def _atoms(key, text):
+    try:
+        atoms = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise BadValueError(f"{key} must be comma-separated integers, got {text!r}") from None
+    if any(a not in (1, 2) for a in atoms):
         raise BadValueError(f"atom indices must be 1 or 2, got {text!r}")
     return atoms
+
+
+# config key -> (converter, default); the flag is --key with "_" as "-", and a
+# None converter keeps the text. A None default is resolved by the command:
+# atoms and window by the series kind, dtau and step by the Rabi period.
+OPTIONS = {
+    "omega1": (_number, ModelParams.omega1),
+    "omega2": (_number, ModelParams.omega2),
+    "v12": (_number, ModelParams.v12),
+    "gamma2": (_number, ModelParams.gamma2),
+    "gammaph": (_number, ModelParams.gamma_ph),
+    "theta": (_number, math.pi / 2),
+    "t_sep": (_positive, 10.0),
+    "tau_min": (_number, None),
+    "tau_max": (_number, None),
+    "dtau": (_positive, None),
+    "atoms": (_atoms, None),
+    "seed": (_seed, 1),
+    "trajectories": (_trajectories, 100),
+    "duration": (_positive, 200.0),
+    "step": (_positive, None),
+    "out": (None, None),
+}
 
 
 def read_config_file(path) -> dict:
@@ -166,7 +193,7 @@ def read_config_file(path) -> dict:
             raise BadValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise UnknownKeyError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = val.strip()
     return values
@@ -179,110 +206,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS)
     parser.add_argument("figure_name", nargs="?")
-    parser.add_argument("--omega1", type=float)
-    parser.add_argument("--omega2", type=float)
-    parser.add_argument("--v12", type=float)
-    parser.add_argument("--gamma2", type=float)
-    parser.add_argument("--gammaph", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--t-sep", dest="t_sep", type=float)
-    parser.add_argument("--tau-min", dest="tau_min", type=float)
-    parser.add_argument("--tau-max", dest="tau_max", type=float)
-    parser.add_argument("--dtau", type=float)
-    parser.add_argument("--atoms")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trajectories", type=int)
-    parser.add_argument("--duration", type=float)
-    parser.add_argument("--step", type=float)
-    parser.add_argument("--out")
+    for key, (convert, default) in OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=default,
+                            type=None if convert is None else functools.partial(convert, key))
     parser.add_argument("--config")
     parser.add_argument("--version", action="version", version=f"rydcorr {__version__}")
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    """Resolve argv (+ optional config file) into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    if args.command is None:
+def parse_config(argv) -> argparse.Namespace:
+    """Resolve argv (+ optional config file) into validated settings (flags >
+    config file > defaults), with ``params`` and the command's ``atoms``."""
+    parser = _build_parser()
+    cfg = parser.parse_args(argv)
+    if cfg.command is None:
         raise MissingCommandError(f"no command given; expected one of {', '.join(COMMANDS)}")
-
-    merged = {}
-    if args.config:
-        merged.update(read_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-
-    def number(key, default):
-        if key not in merged:
-            return default
-        v = merged[key]
-        return v if isinstance(v, float) else _parse_number(key, v)
-
-    def integer(key, default):
-        if key not in merged:
-            return default
-        v = merged[key]
-        try:
-            return int(v)
-        except (TypeError, ValueError):
-            raise BadValueError(f"{key} must be an integer, got {v!r}") from None
+    if cfg.config:
+        # argparse runs a string default through the flag's converter
+        parser.set_defaults(**read_config_file(cfg.config))
+        cfg = parser.parse_args(argv)
 
     try:
-        params = ModelParams(
-            omega1=number("omega1", 0.2),
-            omega2=number("omega2", 5.0),
-            v12=number("v12", 1.0),
-            gamma2=number("gamma2", 1e-4),
-            gamma_ph=number("gammaph", 1e-4),
-        )
+        cfg.params = ModelParams(omega1=cfg.omega1, omega2=cfg.omega2, v12=cfg.v12,
+                                 gamma2=cfg.gamma2, gamma_ph=cfg.gammaph)
     except ValueError as exc:
         raise BadValueError(str(exc)) from exc
 
     default_atoms = {"g2": (1, 2), "g15": (1, 1), "g3": (1, 1, 2), "g25": (1, 1, 2),
-                     "ampratio": (1, 2, 2)}.get(args.command, ())
-    atoms = merged.get("atoms")
-    atoms = _parse_atoms(atoms) if atoms is not None else default_atoms
-    if default_atoms and len(atoms) != len(default_atoms):
-        raise BadValueError(f"{args.command} needs {len(default_atoms)} atom indices, got {atoms}")
+                     "ampratio": (1, 2, 2)}.get(cfg.command, ())
+    cfg.atoms = cfg.atoms or default_atoms
+    if default_atoms and len(cfg.atoms) != len(default_atoms):
+        raise BadValueError(f"{cfg.command} needs {len(default_atoms)} atom indices, "
+                            f"got {cfg.atoms}")
 
-    cfg = RunConfig(
-        command=args.command,
-        params=params,
-        figure=args.figure_name,
-        atoms=atoms,
-        theta=number("theta", math.pi / 2),
-        t_sep=number("t_sep", 10.0),
-        tau_min=number("tau_min", None),
-        tau_max=number("tau_max", None),
-        dtau=number("dtau", None),
-        seed=integer("seed", 1),
-        trajectories=integer("trajectories", 100),
-        duration=number("duration", 200.0),
-        step=number("step", None),
-        out=merged.get("out"),
-    )
     if cfg.command == "figure":
-        if cfg.figure is None:
+        if cfg.figure_name is None:
             raise BadValueError("figure command needs a figure name, e.g. 'rydcorr figure fig2'")
-        if cfg.figure not in FIGURES:
-            raise UnknownFigureError(f"unknown figure {cfg.figure!r}; choose from {', '.join(FIGURES)}")
-    elif cfg.figure is not None:
-        raise BadValueError(f"unexpected positional argument {cfg.figure!r} for {cfg.command}")
-    if cfg.t_sep <= 0:
-        raise BadValueError(f"t_sep must be positive, got {cfg.t_sep}")
-    if cfg.dtau is not None and cfg.dtau <= 0:
-        raise BadValueError(f"dtau must be positive, got {cfg.dtau}")
-    if cfg.trajectories < 1:
-        raise BadValueError(f"trajectories must be >= 1, got {cfg.trajectories}")
-    if cfg.trajectories > MAX_TRAJECTORIES:
-        raise BadValueError(f"trajectories must be at most {MAX_TRAJECTORIES}, "
-                            f"got {cfg.trajectories}")
-    if not cfg.duration > 0:
-        raise BadValueError(f"duration must be positive, got {cfg.duration}")
-    if cfg.step is not None and not cfg.step > 0:
-        raise BadValueError(f"step must be positive, got {cfg.step}")
+        if cfg.figure_name not in FIGURES:
+            raise UnknownFigureError(f"unknown figure {cfg.figure_name!r}; "
+                                     f"choose from {', '.join(FIGURES)}")
+    elif cfg.figure_name is not None:
+        raise BadValueError(f"unexpected positional argument {cfg.figure_name!r} for {cfg.command}")
     if cfg.out and cfg.command != "figure":
         out = Path(cfg.out)
         if not out.name or out.suffix == ".manifest":
@@ -394,10 +358,6 @@ def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
         log.add_effects(_square(effect_chain(lv_adj, k, grid, T)))
 
 
-def _default_dtau(p: ModelParams) -> float:
-    return (2 * math.pi / p.rabi) / 40.0
-
-
 def _grid(lo, hi, dt):
     steps = (hi - lo) / dt
     if not steps <= MAX_GRID_POINTS - 1:  # also refuses inf and nan
@@ -407,7 +367,8 @@ def _grid(lo, hi, dt):
     return np.linspace(lo, hi, n + 1)
 
 
-def _run_recipe(recipe: Recipe, cfg: RunConfig, log: InvariantLog, dT: float | None = None) -> list:
+def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
+                dT: float | None = None) -> list:
     """Every panel of a recipe, each followed by the audit of its conditional path.
 
     ``dT`` is the step of the ampratio T grid (default: a sixteenth of the
@@ -417,9 +378,10 @@ def _run_recipe(recipe: Recipe, cfg: RunConfig, log: InvariantLog, dT: float | N
     MAX_GRID_POINTS, before the first generator.
     """
     p, theta = cfg.params, cfg.theta
-    dtau = cfg.dtau if cfg.dtau is not None else _default_dtau(p)
+    period = 2 * math.pi / p.rabi
+    dtau = cfg.dtau if cfg.dtau is not None else period / 40.0
     if dT is None:
-        dT = (2 * math.pi / p.rabi) / 16.0
+        dT = period / 16.0
     lo, hi = recipe.window or WINDOWS[recipe.kind]
     i, k = recipe.atoms[0], recipe.atoms[-1]
     amplitude = (theta,) if recipe.kind in ("g15", "g25") else ()
@@ -449,16 +411,7 @@ def _run_recipe(recipe: Recipe, cfg: RunConfig, log: InvariantLog, dT: float | N
 
 # --- commands ---------------------------------------------------------------
 
-def _out_path(cfg: RunConfig, default_name: str) -> Path:
-    return Path(cfg.out) if cfg.out else Path(default_name)
-
-
-def _manifest_path(out: Path) -> Path:
-    """Beside the output file: ``g2.csv`` and ``v1`` give ``g2.manifest`` and ``v1.manifest``."""
-    return out.with_suffix(".manifest")
-
-
-def _run_series_command(cfg: RunConfig):
+def _run_series_command(cfg: argparse.Namespace, out: Path):
     kind = cfg.command
     lo = cfg.tau_min if cfg.tau_min is not None else WINDOWS[kind][0]
     hi = cfg.tau_max if cfg.tau_max is not None else WINDOWS[kind][1]
@@ -486,21 +439,19 @@ def _run_series_command(cfg: RunConfig):
     grid = panels[0][1].tau_grid
     entries += [("tau_min", f"{grid[0]:.12g}"), ("tau_max", f"{grid[-1]:.12g}"),
                 ("points", str(len(grid)))]
-    out = _out_path(cfg, f"{kind}.csv")
     outputs = []
     for suffix, series, params in panels:
         path = out if len(panels) == 1 else out.with_name(f"{out.stem}{suffix}{out.suffix or '.csv'}")
         write_csv(series, path, params=params)
         outputs.append(path)
-    return entries, log, outputs, _manifest_path(out)
+    return entries, log, outputs
 
 
-def _run_steady(cfg: RunConfig):
+def _run_steady(cfg: argparse.Namespace, out: Path):
     lv = build_liouvillian(cfg.params)
     rho = steady_state(lv)
     log = InvariantLog()
     log.add_states(rho)
-    out = _out_path(cfg, "steady.csv")
     rows = (f"{r},{c},{_fmt(rho[r, c].real)},{_fmt(rho[r, c].imag)}"
             for r in range(DIM_PAIR) for c in range(DIM_PAIR))
     _write_lines(out, [f"# kind=steady_state, params={_params_echo(cfg.params)}", "row,col,re,im", *rows])
@@ -509,16 +460,15 @@ def _run_steady(cfg: RunConfig):
         pop = np.trace(sigma(a, 2, 2).matrix @ rho).real
         entries.append((f"excited_population_atom{a}", _fmt(pop)))
     entries.append(("rydberg_pair_population", _fmt(rho[8, 8].real)))
-    return entries, log, [out], _manifest_path(out)
+    return entries, log, [out]
 
 
-def _run_spectrum(cfg: RunConfig):
+def _run_spectrum(cfg: argparse.Namespace, out: Path):
     lv = build_liouvillian(cfg.params)
     spec = spectrum(lv)
     log = InvariantLog()
     rho = steady_state(lv)
     log.add_states(rho)
-    out = _out_path(cfg, "spectrum.csv")
     rows = (f"{n},{_fmt(w.real)},{_fmt(w.imag)}" for n, w in enumerate(spec.eigenvalues))
     _write_lines(out, [f"# kind=spectrum, params={_params_echo(cfg.params)}", "index,re,im", *rows])
     w = spec.eigenvalues
@@ -539,20 +489,15 @@ def _run_spectrum(cfg: RunConfig):
     entries.append(("invariant.spectrum", _bool_word(ok)))
     if not ok:
         raise InvariantViolationError("spectrum structure checks failed; see manifest")
-    return entries, log, [out], _manifest_path(out)
+    return entries, log, [out]
 
 
-def _run_trajectories(cfg: RunConfig):
+def _run_trajectories(cfg: argparse.Namespace, out: Path):
     p = cfg.params
     step = cfg.step if cfg.step is not None else 0.005 / max(1.0, p.rabi)
     t0 = time.perf_counter()
-    try:
-        batch = mcwf_run(p, duration=cfg.duration, step=step, seed=cfg.seed,
-                         count=cfg.trajectories)
-    except (StepTooLargeError, TooManyStepsError, TooManyTrajectoriesError) as exc:
-        raise BadValueError(str(exc)) from exc
+    batch = mcwf_run(p, duration=cfg.duration, step=step, seed=cfg.seed, count=cfg.trajectories)
     run_s = time.perf_counter() - t0
-    out = _out_path(cfg, "clicks.csv")
     write_clicks_csv(batch, out)
     lv = build_liouvillian(p)
     rho = steady_state(lv)
@@ -574,10 +519,10 @@ def _run_trajectories(cfg: RunConfig):
         *((f"counter.mcwf.jumps.c{c}", str(n)) for c, n in enumerate(batch.jumps)),
         ("counter.mcwf.uniforms", str(batch.count + 2 * sum(batch.jumps))),
     ]
-    return entries, log, [out], _manifest_path(out)
+    return entries, log, [out]
 
 
-def run_figure(name: str, cfg: RunConfig):
+def run_figure(name: str, cfg: argparse.Namespace):
     """Produce the CSV series for one named figure recipe."""
     if name not in RECIPES:
         raise UnknownFigureError(f"unknown figure {name!r}")
@@ -598,15 +543,19 @@ def run_figure(name: str, cfg: RunConfig):
     return [("command", "figure"), ("figure", name)], log, outputs, out_dir / f"{name}.manifest"
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """Execute a resolved configuration; returns the process exit code."""
     t0 = time.monotonic()
     if cfg.command == "figure":
-        entries, log, outputs, manifest = run_figure(cfg.figure, cfg)
+        entries, log, outputs, manifest = run_figure(cfg.figure_name, cfg)
     else:
+        # the manifest goes beside the output: g2.csv and v1 give g2.manifest and v1.manifest
+        name = "clicks" if cfg.command == "trajectories" else cfg.command
+        out = Path(cfg.out or f"{name}.csv")
         handler = {"steady": _run_steady, "spectrum": _run_spectrum,
                    "trajectories": _run_trajectories}.get(cfg.command, _run_series_command)
-        entries, log, outputs, manifest = handler(cfg)
+        entries, log, outputs = handler(cfg, out)
+        manifest = out.with_suffix(".manifest")
 
     head = [("tool", "rydcorr"), ("version", __version__)]
     for part in _params_echo(cfg.params).split(";"):
@@ -629,17 +578,10 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        return run(cfg)
-    except ConfigError as exc:
-        print(f"rydcorr: {exc}", file=sys.stderr)
-        return 2
-    except IoFailureError as exc:
-        print(f"rydcorr: {exc}", file=sys.stderr)
-        return 4
+        return run(parse_config(sys.argv[1:] if argv is None else argv))
     except RydcorrError as exc:
         print(f"rydcorr: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 4 if isinstance(exc, IoFailureError) else 3
 
 
 if __name__ == "__main__":

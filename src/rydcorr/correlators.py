@@ -290,14 +290,14 @@ def g25(lv: Liouvillian, i: int, j: int, k: int, theta: float, tau_grid, T: floa
     return _three_time(lv, i, j, k, theta, tau_grid, T)
 
 
-def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_grid,
-                    window: float | None = None, dtau: float | None = None):
+def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_grid):
     """g25 normalized by g2(T), summarized in a window around tau = T/2.
 
     For every T in ``T_grid`` the ratio g25_ijk(tau, T, theta) / g2_ik(T) is
-    evaluated on a fine tau grid inside [T/2 - window, T/2 + window] (clipped
-    to [0, T]) and reduced to its max, min and mean. Returns three series
-    (max, min, mean) over the T grid.
+    evaluated inside [T/2 - window, T/2 + window] (clipped to [0, T]), with
+    the window one Rabi period, on a tau grid of a fortieth of one, and
+    reduced to its max, min and mean. Returns three series (max, min, mean)
+    over the T grid.
 
     On a uniform T grid whose windows are not clipped, the windows are
     marched across T instead of computed one g25 at a time: window n starts
@@ -310,11 +310,8 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
     Ts = _check_grid(T_grid, lo=0.0)
     if Ts[0] <= 0:
         raise ValueError("T grid must be strictly positive")
-    period = 2 * math.pi / lv.params.rabi
-    if window is None:
-        window = period
-    if dtau is None:
-        dtau = period / 40.0
+    window = 2 * math.pi / lv.params.rabi
+    dtau = window / 40.0
 
     g2_at_T = g2(lv, i, k, Ts).values
     stats = np.empty((3, Ts.size))  # max, min and mean of the ratio at each T

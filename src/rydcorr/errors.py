@@ -9,6 +9,10 @@ class RydcorrError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(RydcorrError):
+    """Base class for configuration problems (exit code 2)."""
+
+
 # --- linear algebra kernel ---
 
 class NonSquareError(RydcorrError):
@@ -71,15 +75,15 @@ class NoOscillationError(RydcorrError):
 
 # --- trajectories ---
 
-class StepTooLargeError(RydcorrError):
+class StepTooLargeError(ConfigError):
     """Integration step too coarse to resolve the coherent dynamics."""
 
 
-class TooManyStepsError(RydcorrError):
+class TooManyStepsError(ConfigError):
     """More integration steps per trajectory than the run may take."""
 
 
-class TooManyTrajectoriesError(RydcorrError):
+class TooManyTrajectoriesError(ConfigError):
     """More trajectories in one batch than the run may take."""
 
 
@@ -92,10 +96,6 @@ class InsufficientStatisticsError(RydcorrError):
 
 
 # --- CLI / configuration ---
-
-class ConfigError(RydcorrError):
-    """Base class for configuration problems (exit code 2)."""
-
 
 class UnknownKeyError(ConfigError):
     """Config file or flag key not recognized."""

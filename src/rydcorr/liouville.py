@@ -28,7 +28,6 @@ import scipy.linalg
 from . import algebra
 from .errors import (
     DegenerateSteadyStateError,
-    NearDefectiveError,
     NegativeDurationError,
     NotPositiveError,
 )
@@ -118,8 +117,11 @@ def steady_state(lv: Liouvillian) -> np.ndarray:
 
     Solved from the bordered system (first row of L replaced by the trace
     functional) with one step of iterative refinement; the null-space
-    dimension is verified from the singular values first.
+    dimension is verified from the singular values first. The adjoint
+    generator has no stationary state, and is refused.
     """
+    if lv.adjoint:
+        raise ValueError("steady_state needs the forward generator")
     cached = lv._cache.get("steady")
     if cached is not None:
         return cached.copy()
@@ -214,18 +216,16 @@ def chain(lv: Liouvillian, v0: np.ndarray, steps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiouvillianSpectrum:
-    """Full eigensystem of the generator.
+    """Eigenvalues and right modes of the generator.
 
     ``eigenvalues`` are sorted by descending real part, so the stationary mode
-    comes first; ``right_modes``/``left_modes`` hold vectorized matrices as
-    columns, with left modes scaled biorthogonally (l_m^H r_n = delta_mn) and
-    the stationary right mode scaled to devectorize to the trace-one steady
-    state when it is unique.
+    comes first; ``right_modes`` holds vectorized matrices as columns, with
+    the stationary mode scaled to devectorize to the trace-one steady state
+    when it is unique.
     """
 
     eigenvalues: np.ndarray
     right_modes: np.ndarray = field(repr=False)
-    left_modes: np.ndarray = field(repr=False)
 
     @property
     def stationary_count(self) -> int:
@@ -233,16 +233,10 @@ class LiouvillianSpectrum:
 
 
 def spectrum(lv: Liouvillian) -> LiouvillianSpectrum:
-    """Eigenvalues and biorthogonal mode pairs of the generator."""
-    dec = algebra.eig(lv.matrix, left=True)
+    """Eigenvalues and right modes of the generator."""
+    dec = algebra.eig(lv.matrix)
     w = dec.eigenvalues
     vr = dec.right_eigenvectors.copy()
-    vl = dec.left_eigenvectors.copy()
-
-    overlaps = np.einsum("ij,ij->j", vl.conj(), vr)
-    if np.min(np.abs(overlaps)) < 1e-12:
-        raise NearDefectiveError("left/right eigenvector overlap too small to biorthogonalize")
-    vl = vl / overlaps.conj()[np.newaxis, :]
 
     zero = np.abs(w) <= STATIONARY_EIG_TOL
     if int(np.sum(zero)) == 1 and not lv.adjoint:
@@ -251,8 +245,7 @@ def spectrum(lv: Liouvillian) -> LiouvillianSpectrum:
         tr = np.trace(rho0)
         if abs(tr) > 1e-14:
             vr[:, k] = vr[:, k] / tr
-            vl[:, k] = vl[:, k] * np.conj(tr)
-    return LiouvillianSpectrum(eigenvalues=w, right_modes=vr, left_modes=vl)
+    return LiouvillianSpectrum(eigenvalues=w, right_modes=vr)
 
 
 def conjugation_defect(eigenvalues: np.ndarray) -> float:

@@ -254,7 +254,9 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     # psi[n]: trajectory n's un-normalized no-jump state since its last jump
     psi = np.tile(psi0, (count, 1))
     threshold = draw(np.arange(count))
-    jumps = [(np.zeros(0, dtype=np.intp),) * 3]  # (trajectory, step, channel) per jump round
+    jumps = np.zeros(len(cs), dtype=np.int64)  # per channel; only clicks are kept
+    is_click = np.isin(np.arange(len(cs)), CLICK_CHANNELS)
+    clicks = [(np.zeros(0, dtype=np.intp),) * 3]  # (trajectory, step, channel) per jump round
     for b0, b1 in zip(edges[:-1], edges[1:]):
         if b0 % sample_every == 0:
             take_sample(b0 * dt, psi)
@@ -296,16 +298,17 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
                 c = int(channel[norms.argmin()])
                 raise NormUnderflowError(f"jump on channel {c} produced a null state")
             state = after / norms[:, None]
-            jumps.append((rows, b0 + at - 1, channel))
+            jumps += np.bincount(channel, minlength=len(cs))
+            click = is_click[channel]
+            clicks.append((rows[click], b0 + at[click] - 1, channel[click]))
             threshold[rows] = draw(rows)
             end = _row_times(state, powers, span - at)
     take_sample(n_steps * dt, psi)
 
     per_traj: list[list[ClickRecord]] = [[] for _ in range(count)]
-    traj, steps, chans = (np.concatenate(x) for x in zip(*jumps))
-    click = np.nonzero(np.isin(chans, CLICK_CHANNELS))[0]
-    click = click[np.lexsort((steps[click], traj[click]))]
-    for idx, c, s in zip(traj[click].tolist(), chans[click].tolist(), steps[click].tolist()):
+    traj, steps, chans = (np.concatenate(x) for x in zip(*clicks))
+    order = np.lexsort((steps, traj))
+    for idx, c, s in zip(traj[order].tolist(), chans[order].tolist(), steps[order].tolist()):
         per_traj[idx].append(ClickRecord(channel=c, atom=_channel_atom(c), time=(s + 1) * dt))
     records = tuple(tuple(lst) for lst in per_traj)
     mean, sem = np.array(mean_rows), np.array(sem_rows)
@@ -317,7 +320,7 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
         level_mean={"atom1": mean[:, :3], "atom2": mean[:, 3:]},
         level_sem={"atom1": sem[:, :3], "atom2": sem[:, 3:]},
         late_half_mean={"atom1": late[:, :3], "atom2": late[:, 3:]},
-        jumps=tuple(np.bincount(chans, minlength=len(cs)).tolist()),
+        jumps=tuple(jumps.tolist()),
     )
 
 

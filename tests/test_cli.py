@@ -338,6 +338,60 @@ def test_trajectory_count_bound_of_mcwf_run_exits_2(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+NUMERIC_KEYS = [key for key in cli.OPTIONS if key not in ("atoms", "out")]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_bad_number_exits_2_from_flag_or_config(tmp_path, monkeypatch, capsys, key, value,
+                                                source):
+    """A value that is not a finite number exits 2, naming its key, whether it
+    comes from a flag or a config file, before any generator is built."""
+    refuse_generators(monkeypatch)
+    refuse_philox(monkeypatch)
+    if source == "flag":
+        argv = [f"--{key.replace('_', '-')}={value}"]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        argv = ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    assert cli.main(["g2", *argv, "--out", str(out / "x.csv")]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_philox_key_range_exits_2(tmp_path, monkeypatch, seed):
+    refuse_philox(monkeypatch)
+    out = tmp_path / "clicks.csv"
+    assert cli.main(["trajectories", "--seed", seed, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    out = tmp_path / "clicks.csv"
+    assert cli.main(["trajectories", "--seed", str(2**64 - 1), "--trajectories", "1",
+                     "--duration", "1", "--out", str(out)]) == 0
+    assert f"seed = {2**64 - 1}" in (tmp_path / "clicks.manifest").read_text()
+
+
+def test_config_file_run_matches_flag_run(tmp_path):
+    """A config file and the same settings given as flags make the same run."""
+    settings = {"omega1": "0.3", "v12": "0.5", "theta": "1", "t_sep": "6", "tau_max": "4",
+                "atoms": "1,2,2"}
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+    assert cli.main(["g25", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 0
+    assert cli.main(["g25", *flags, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    manifest = filtered_manifest(tmp_path / "a.manifest")
+    assert manifest.replace("a.csv", "X") == filtered_manifest(tmp_path / "b.manifest").replace(
+        "b.csv", "X")
+    assert "param.v12 = 0.5" in manifest and "atoms = 1,2,2" in manifest
+
+
 def test_default_trajectory_count_far_inside_bound():
     """The CLI default is a thousandth, criterion 09's 10^4 a tenth, of the bound."""
     assert cli.parse_config(["trajectories"]).trajectories * 1000 <= trajectories.MAX_TRAJECTORIES

@@ -232,12 +232,6 @@ def test_spectrum_structure(lv, rho_ss):
     assert np.max(np.abs(mode0 - rho_ss)) < 1e-8
 
 
-def test_spectrum_biorthogonal(lv):
-    spec = spectrum(lv)
-    overlap = spec.left_modes.conj().T @ spec.right_modes
-    assert np.max(np.abs(np.diag(overlap) - 1.0)) < 1e-9
-
-
 def test_undriven_undamped_rydberg_level_raises_degenerate_steady_state():
     """With omega2 = 0 and neither decay nor dephasing of |3>, each atom keeps
     |3> apart from its driven |1>-|2> pair: four stationary states, no unique one."""

@@ -7,6 +7,7 @@ from rydcorr import (
     ModelParams,
     build_adjoint_liouvillian,
     build_liouvillian,
+    g2,
     g3,
     g3_via_pqs,
     g15,
@@ -91,6 +92,18 @@ def test_backward_needs_the_adjoint_generator(lv):
     """The forward generator would march E the wrong way."""
     with pytest.raises(ValueError, match="adjoint"):
         effect_chain(lv, 2, [0.0], 1.0)
+
+
+@pytest.mark.parametrize("route", [
+    steady_state,
+    lambda lv: g2(lv, 1, 2, [0.0, 0.5, 1.0]),
+    lambda lv: state_chain(lv, 1, [0.0, 0.5, 1.0]),
+], ids=["steady_state", "g2", "state_chain"])
+def test_forward_routes_need_the_forward_generator(lv_adj, route):
+    """The adjoint generator also annihilates a trace-one matrix, I/9, which
+    would pass for a steady state: g2 would read 1, 1.41, 1.77."""
+    with pytest.raises(ValueError, match="forward generator"):
+        route(lv_adj)
 
 
 def test_forward_rejects_negative(lv):
