@@ -1,10 +1,12 @@
-"""Dense complex matrix kernel.
+"""Dense matrix kernel.
 
-Products, Kronecker products, matrix exponentials, eigendecompositions and
-the column-stacking vectorization convention used by every module above this
-one. Everything here is plain linear algebra with no physics attached; the
-heavy lifting is delegated to numpy/scipy, with the accuracy contracts of
-this package checked on top.
+Products, Kronecker products, matrix exponentials, eigendecompositions, the
+column-stacking vectorization convention used by every module above this
+one, and the change to an orthonormal Hermitian operator basis. Everything
+here is plain linear algebra with no physics attached; the heavy lifting is
+delegated to numpy/scipy, with the accuracy contracts of this package checked
+on top. ``expm`` and ``eig`` keep a real (float64) input real, and so run in
+real arithmetic; anything else is computed in complex arithmetic.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -12,10 +14,26 @@ Conventions fixed here and relied on everywhere else:
   ``vec(A X B) = kron(B.T, A) @ vec(X)``.
 * ``eig`` returns eigenvalues sorted by descending real part (ties broken by
   descending imaginary part), which puts a generator's stationary mode first.
+* The Hermitian basis of n x n matrices is {E_kk, (E_kl + E_lk)/sqrt2,
+  i(E_kl - E_lk)/sqrt2 : k < l}, orthonormal under <A, B> = Tr(A^H B). The
+  coordinate of E_kk sits at vec position k + n k, that of the symmetric
+  element at k + n l (above the diagonal) and that of the antisymmetric one
+  at l + n k (below it). ``to_hermitian_basis`` gives the coordinates
+  x = U^H vec(X) of a column-stacked matrix, where the columns of the
+  unitary U are the vectorized basis elements; they are real exactly when X
+  is Hermitian, and Tr(A X) is the plain dot product of the coordinates of
+  A and X. ``superoperator_in_hermitian_basis`` gives U^H M U, which is real
+  for a map that takes Hermitian matrices to Hermitian matrices. Callers
+  convert at the edges of a computation (start vectors, superoperators,
+  readout functionals), never each exponential: converting a real
+  propagator back as U P U^H for use on column-stacked vectors adds the
+  rounding of two complex products to every step (see ``liouville``).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +53,9 @@ __all__ = [
     "eig",
     "vectorize",
     "devectorize",
+    "to_hermitian_basis",
+    "from_hermitian_basis",
+    "superoperator_in_hermitian_basis",
 ]
 
 EXPM_RTOL = 1e-10
@@ -42,9 +63,10 @@ EIG_RESIDUAL_RTOL = 1e-8
 EIG_CONDITION_LIMIT = 1e12
 
 
-def _as_matrix(m, name="matrix"):
-    """Coerce to a finite 2-D complex array."""
-    a = np.asarray(m, dtype=complex)
+def _as_matrix(m, name="matrix", keep_real=False):
+    """Coerce to a finite 2-D complex array, or float64 for a real input with keep_real."""
+    real = keep_real and not np.iscomplexobj(m)
+    a = np.asarray(m, dtype=float if real else complex)
     if a.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -76,7 +98,7 @@ def expm(m):
     Raises AccuracyNotMetError when ``expm(m)`` and ``expm(m/2)^2`` disagree
     beyond the 1e-10 relative contract.
     """
-    a = _as_matrix(m)
+    a = _as_matrix(m, keep_real=True)
     _require_square(a)
     full = scipy.linalg.expm(a)
     half = scipy.linalg.expm(a / 2.0)
@@ -95,7 +117,7 @@ def eig(m):
     Verifies the residual ``||M v - w v|| <= 1e-8 ||M|| ||v||`` for every pair
     and flags a near-defective eigenvector matrix (condition number > 1e12).
     """
-    a = _as_matrix(m)
+    a = _as_matrix(m, keep_real=True)
     _require_square(a)
     w, vr = scipy.linalg.eig(a)
     order = np.lexsort((-w.imag, -w.real))
@@ -129,3 +151,51 @@ def devectorize(v, rows, cols):
             f"vector of size {a.size} cannot fill a {rows}x{cols} matrix"
         )
     return a.reshape((rows, cols), order="F")
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_pairs(size):
+    """vec positions above the diagonal of a sqrt(size) x sqrt(size) matrix,
+    and their transposed positions below it."""
+    n = math.isqrt(size)
+    if n * n != size:
+        raise DimensionMismatchError(f"vector of size {size} is not a vectorized square matrix")
+    row, col = np.triu_indices(n, 1)
+    upper, lower = row + n * col, col + n * row
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
+# 1/sqrt2, the weight of the off-diagonal basis elements
+_WEIGHT = math.sqrt(0.5)
+
+
+def to_hermitian_basis(v):
+    """Coordinates U^H v of column-stacked matrices (along the last axis)."""
+    v = np.asarray(v, dtype=complex)
+    up, lo = _hermitian_pairs(v.shape[-1])
+    x = v.copy()
+    x[..., up] = (v[..., up] + v[..., lo]) * _WEIGHT
+    x[..., lo] = 1j * ((v[..., lo] - v[..., up]) * _WEIGHT)
+    return x
+
+
+def from_hermitian_basis(x):
+    """Column-stacked matrices U x of Hermitian-basis coordinates (along the
+    last axis). Dividing by the weight and halving, rather than multiplying
+    by it again, returns a Hermitian matrix from its coordinates within 1 ulp."""
+    x = np.asarray(x, dtype=complex)
+    up, lo = _hermitian_pairs(x.shape[-1])
+    sym, anti = x[..., up] / _WEIGHT, 1j * (x[..., lo] / _WEIGHT)
+    v = x.copy()
+    v[..., up] = (sym + anti) * 0.5
+    v[..., lo] = (sym - anti) * 0.5
+    return v
+
+
+def superoperator_in_hermitian_basis(m):
+    """U^H M U for a superoperator M acting on column-stacked matrices."""
+    a = _as_matrix(m)
+    _require_square(a)
+    mu = to_hermitian_basis(a.conj()).conj()  # rows of M U = conj(U^H conj(row))
+    return to_hermitian_basis(mu.T).T

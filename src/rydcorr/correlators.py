@@ -7,7 +7,10 @@ it from the left and/or right. A photon count on atom i is X -> s12_i X
 s21_i; a homodyne amplitude insertion multiplies by s21_j on the right only,
 which is the ordering the time-ordered, normally ordered field correlators
 reduce to. ``_insertion`` writes both as 81x81 superoperators, and the
-past-quantum-state route builds its jumped state with the same one.
+past-quantum-state route builds its jumped state with the same one. The
+kernel runs in the Hermitian basis of ``liouville``: the start vector, the
+insertions (``_basis_insertion``) and the readout functional are converted
+once, and the rows marched in real arithmetic.
 
 Provided correlators (all normalized by products of stationary one-time
 expectations, so uncorrelated signals give 1):
@@ -25,6 +28,7 @@ from its periodogram (used to verify the oscillation-frequency structure).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +42,15 @@ from .errors import (
     TooFewSamplesError,
     ZeroEmissionRateError,
 )
-from .liouville import Liouvillian, chain, grid_steps, steady_state
+from .liouville import (
+    Liouvillian,
+    _apply,
+    _coordinate_chain,
+    _coordinates,
+    _joined,
+    grid_steps,
+    steady_state,
+)
 from .model import DIM_PAIR, sigma
 
 __all__ = [
@@ -131,16 +143,20 @@ def _check_grid(grid, lo=None, hi=None):
 
 def _march(lv: Liouvillian, rows: np.ndarray, counts: np.ndarray, h: float,
            block: int) -> np.ndarray:
-    """Advance row n by counts[n] steps of h: first counts[n] % block single
-    steps of P(h), then counts[n] // block jumps of P(block h).
+    """Advance coordinate row n (rows of shape (N, c, 81)) by counts[n] steps
+    of h: first counts[n] % block single steps of P(h), then counts[n] // block
+    jumps of P(block h).
 
     The jump is its own exponential, never a power of P(h): squaring P(h)
     compounds its rounding, to 13x the error of the direct jump on a
     638-point grid.
     Each phase applies its propagator to the rows still short of their count,
-    so a phase of at most s steps costs s matrix products.
+    so a phase of at most s steps costs s matrix products; the real and
+    imaginary parts of a complex row advance in the same product.
     """
-    w = rows.copy()
+    n, c, d = rows.shape
+    w = rows.reshape(n * c, d).copy()
+    counts = np.repeat(counts, c)
     for dt, reps in ((h, counts % block), (block * h, counts // block)):
         if not reps.any():
             continue
@@ -150,11 +166,11 @@ def _march(lv: Liouvillian, rows: np.ndarray, counts: np.ndarray, h: float,
         for s in range(1, len(short)):
             ws[:short[s]] = ws[:short[s]] @ lv.propagator(dt).T
         w[order] = ws
-    return w
+    return w.reshape(n, c, d)
 
 
 def _suffix_propagate(lv: Liouvillian, rows: np.ndarray, grid: np.ndarray, t_end: float) -> np.ndarray:
-    """Finish each row's evolution from its own grid time to t_end.
+    """Finish each coordinate row's evolution from its own grid time to t_end.
 
     Row k enters at time grid[k], with N - 1 - k grid steps left and then the
     tail t_end - grid[-1]. On a uniform grid (one step h from ``grid_steps``)
@@ -169,10 +185,10 @@ def _suffix_propagate(lv: Liouvillian, rows: np.ndarray, grid: np.ndarray, t_end
     else:
         w = rows.copy()
         for m, dt in enumerate(steps, start=1):
-            w[:m] = w[:m] @ lv.propagator(dt).T
+            w[:m] = _apply(w[:m], lv.propagator(dt))
     tail = t_end - grid[-1]
     if tail > 0:
-        w = w @ lv.propagator(tail).T
+        w = _apply(w, lv.propagator(tail))
     return w
 
 
@@ -208,22 +224,42 @@ def _insertion(atom: int, theta: float | None) -> np.ndarray:
     return algebra.kron(right.T, left)
 
 
+@functools.lru_cache(maxsize=64)
+def _basis_insertion(atom: int, theta: float | None) -> np.ndarray:
+    """``_insertion`` in the Hermitian basis: real for a count, which maps
+    Hermitian matrices to Hermitian matrices; complex for an amplitude."""
+    op = algebra.superoperator_in_hermitian_basis(_insertion(atom, theta))
+    op = np.ascontiguousarray(op.real) if theta is None else op
+    op.flags.writeable = False
+    return op
+
+
+def _inserted(rho: np.ndarray, insertion: np.ndarray) -> np.ndarray:
+    """Coordinates, shape (c, 81), of a basis insertion applied to rho."""
+    return _apply(_coordinates(algebra.vectorize(rho))[np.newaxis], insertion)[0]
+
+
+def _read(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Tr(probe @ X) for each coordinate row X: in the orthonormal Hermitian
+    basis, the plain dot product of the coordinates of probe and X."""
+    functional = _joined(_coordinates(algebra.vectorize(probe)))
+    return _joined(_apply(rows, functional[np.newaxis]))[:, 0]
+
+
 def _regression(lv: Liouvillian, rho: np.ndarray, first: np.ndarray, grid: np.ndarray,
                 probe: np.ndarray, mid: np.ndarray | None = None,
                 T: float | None = None) -> np.ndarray:
     """The insertion kernel: raw traces Tr(probe @ X) along a delay grid.
 
-    The insertion superoperator ``first`` acts on rho at delay 0 and the
-    result is propagated to each grid point. Without ``mid`` the probe is
-    read there; with it, the insertion superoperator ``mid`` acts on every
-    grid point at once and each row is propagated on to T before the probe
-    is read.
+    The basis insertion ``first`` acts on rho at delay 0 and the result is
+    propagated to each grid point. Without ``mid`` the probe is read there;
+    with it, the basis insertion ``mid`` acts on every grid point at once and
+    each row is propagated on to T before the probe is read.
     """
-    rows = chain(lv, first @ algebra.vectorize(rho), np.r_[grid[:1], grid_steps(grid)])
+    rows = _coordinate_chain(lv, _inserted(rho, first), np.r_[grid[:1], grid_steps(grid)])
     if mid is not None:
-        rows = _suffix_propagate(lv, rows @ mid.T, grid, T)
-    # Tr(A @ X) = vec(A.T) . vec(X) under column stacking
-    return rows @ probe.T.flatten(order="F")
+        rows = _suffix_propagate(lv, _apply(rows, mid), grid, T)
+    return _read(rows, probe)
 
 
 # --- named correlators -----------------------------------------------------
@@ -233,7 +269,7 @@ def g2(lv: Liouvillian, i: int, j: int, tau_grid) -> CorrelationSeries:
     grid = _check_grid(tau_grid, lo=0.0)
     rho = steady_state(lv)
     norm = _stationary_norm(rho, (i, j))
-    raw = _regression(lv, rho, _insertion(i, None), grid, sigma(j, 2, 2).matrix)
+    raw = _regression(lv, rho, _basis_insertion(i, None), grid, sigma(j, 2, 2).matrix)
     vals = _normalized(raw, norm, None, f"g2_{i}{j}")
     return CorrelationSeries(kind="g2", atoms=(i, j), tau_grid=grid, values=vals)
 
@@ -252,12 +288,12 @@ def g15(lv: Liouvillian, i: int, j: int, theta: float, tau_grid) -> CorrelationS
     vals = np.empty(grid.size, dtype=float)
     pos = grid >= 0
     if np.any(pos):
-        raw = _regression(lv, rho, _insertion(i, None), grid[pos], sigma(j, 2, 1).matrix)
+        raw = _regression(lv, rho, _basis_insertion(i, None), grid[pos], sigma(j, 2, 1).matrix)
         vals[pos] = _normalized(raw, norm, theta, f"g15_{i}{j}")
     neg = ~pos
     if np.any(neg):
         # amplitude first: evolve rho_ss @ s21_j forward by |tau|
-        raw = _regression(lv, rho, _insertion(j, theta), -grid[neg][::-1],
+        raw = _regression(lv, rho, _basis_insertion(j, theta), -grid[neg][::-1],
                           sigma(i, 2, 2).matrix)
         vals[neg] = _normalized(raw, norm, theta, f"g15_{i}{j}")[::-1]
     return CorrelationSeries(kind="g15", atoms=(i, j), tau_grid=grid, values=vals, theta=theta)
@@ -272,8 +308,8 @@ def _three_time(lv, i, j, k, theta, tau_grid, T) -> CorrelationSeries:
         kind, norm = "g3", _stationary_norm(rho, (i, j, k))
     else:
         kind, norm = "g25", _stationary_norm(rho, (i, k), (j, theta))
-    raw = _regression(lv, rho, _insertion(i, None), grid, sigma(k, 2, 2).matrix,
-                      mid=_insertion(j, theta), T=T)
+    raw = _regression(lv, rho, _basis_insertion(i, None), grid, sigma(k, 2, 2).matrix,
+                      mid=_basis_insertion(j, theta), T=T)
     vals = _normalized(raw, norm, theta, f"{kind}_{i}{j}{k}")
     return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
                              theta=theta, T=T)
@@ -320,19 +356,19 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
         rho = steady_state(lv)
         norm = _stationary_norm(rho, (i, k), (j, theta))
         lo0, half = Ts[0] / 2.0 - window, (dT[0] / 2.0 if dT.size else 0.0)
-        starts = chain(lv, _insertion(i, None) @ algebra.vectorize(rho),
-                       np.r_[lo0, np.full(Ts.size - 1, half)])
+        starts = _coordinate_chain(lv, _inserted(rho, _basis_insertion(i, None)),
+                                   np.r_[lo0, np.full(Ts.size - 1, half)])
         rel = np.linspace(0.0, 2.0 * window, max(2, int(round(2.0 * window / dtau)) + 1))
         rel_steps = np.r_[0.0, grid_steps(rel)]
-        mid = _insertion(j, theta)
-        lead = lv.propagator(lo0).T
-        probe = sigma(k, 2, 2).matrix.T.flatten(order="F")
+        mid = _basis_insertion(j, theta)
+        lead = lv.propagator(lo0)
+        probe = sigma(k, 2, 2).matrix
         block = math.isqrt(Ts.size)
         for n, start in enumerate(starts):
-            rows = chain(lv, start, rel_steps) @ mid.T
-            rows = _suffix_propagate(lv, rows, rel, rel[-1]) @ lead
+            rows = _apply(_coordinate_chain(lv, start, rel_steps), mid)
+            rows = _apply(_suffix_propagate(lv, rows, rel, rel[-1]), lead)
             rows = _march(lv, rows, np.full(rel.size, n), half, block)
-            ratio = _normalized(rows @ probe, norm, theta, f"g25_{i}{j}{k}") / g2_at_T[n]
+            ratio = _normalized(_read(rows, probe), norm, theta, f"g25_{i}{j}{k}") / g2_at_T[n]
             stats[:, n] = ratio.max(), ratio.min(), ratio.mean()
     else:
         for n, T in enumerate(Ts):

@@ -16,6 +16,7 @@ the slow (major) index, matching ``kron(op_atom1, op_atom2)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,10 +109,19 @@ def _single_sigma(k, l):
 
 
 def sigma(j, k, l) -> PairOperator:
-    """Atomic transition operator |k><l| on atom j, identity on the other atom."""
+    """Atomic transition operator |k><l| on atom j, identity on the other atom.
+
+    Memoised: equal arguments give the same frozen operator, whose matrix is
+    read-only.
+    """
     _check_atom(j)
     _check_level(k)
     _check_level(l)
+    return _sigma(int(j), int(k), int(l))
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma(j, k, l) -> PairOperator:
     eye = np.eye(DIM_ATOM, dtype=complex)
     local = _single_sigma(k, l)
     if j == 1:

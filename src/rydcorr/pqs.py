@@ -11,7 +11,9 @@ with the adjoint generator. ``state_chain`` and ``effect_chain`` march the
 two along a whole grid.
 
 An insertion O_j at tau (a count, or an amplitude measurement) between the
-two counts has weight Tr(E O_j(rho_c)). ``g3_via_pqs`` and ``g25_via_pqs``
+two counts has weight Tr(E O_j(rho_c)): with both chains in the Hermitian
+basis of ``liouville``, the plain dot product of the coordinates of E and
+of O_j(rho_c). ``g3_via_pqs`` and ``g25_via_pqs``
 contract the two chains this way and so re-derive g3 and g25 along a
 numerically independent path (forward state chain + backward effect chain
 instead of nested forward propagation); the test suite and the benchmark
@@ -26,13 +28,23 @@ import numpy as np
 from . import algebra
 from .correlators import (
     CorrelationSeries,
+    _basis_insertion,
     _check_grid,
     _emission_rate,
-    _insertion,
+    _inserted,
     _normalized,
     _stationary_norm,
 )
-from .liouville import DIM_PAIR, Liouvillian, chain, grid_steps, steady_state
+from .liouville import (
+    Liouvillian,
+    _apply,
+    _column_stacked,
+    _coordinate_chain,
+    _coordinates,
+    _joined,
+    grid_steps,
+    steady_state,
+)
 from .model import sigma
 
 __all__ = [
@@ -43,23 +55,34 @@ __all__ = [
 ]
 
 
+def _state_coordinates(lv: Liouvillian, i: int, grid) -> np.ndarray:
+    """``state_chain`` as coordinate rows, shape (N, 1, 81)."""
+    rho = steady_state(lv)
+    jumped = _inserted(rho, _basis_insertion(i, None)) / _emission_rate(rho, i)
+    grid = np.asarray(grid, dtype=float)
+    return _coordinate_chain(lv, jumped, np.r_[grid[:1], grid_steps(grid)])
+
+
+def _effect_coordinates(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
+    """``effect_chain`` as coordinate rows, shape (N, 1, 81)."""
+    if not lv_adj.adjoint:
+        raise ValueError("effect_chain needs the adjoint generator")
+    grid = np.asarray(grid, dtype=float)
+    projector = _coordinates(algebra.vectorize(sigma(k, 2, 2).matrix))
+    return _coordinate_chain(lv_adj, projector,
+                             np.r_[T - grid[-1:], grid_steps(grid)[::-1]])[::-1]
+
+
 def state_chain(lv: Liouvillian, i: int, grid) -> np.ndarray:
     """Rows vec(rho_c(tau)) on an ascending grid of tau >= 0: the jump on atom i
     from the steady state over its emission rate (unit trace), marched forward."""
-    rho = steady_state(lv)
-    jumped = _insertion(i, None) @ algebra.vectorize(rho) / _emission_rate(rho, i)
-    grid = np.asarray(grid, dtype=float)
-    return chain(lv, jumped, np.r_[grid[:1], grid_steps(grid)])
+    return _column_stacked(_state_coordinates(lv, i, grid))
 
 
 def effect_chain(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
     """Rows vec(E(tau)) on an ascending grid ending by T: the excited-state
     projector of atom k marched back from T with the adjoint generator."""
-    if not lv_adj.adjoint:
-        raise ValueError("effect_chain needs the adjoint generator")
-    grid = np.asarray(grid, dtype=float)
-    return chain(lv_adj, algebra.vectorize(sigma(k, 2, 2).matrix),
-                 np.r_[T - grid[-1:], grid_steps(grid)[::-1]])[::-1]
+    return _column_stacked(_effect_coordinates(lv_adj, k, grid, T))
 
 
 def _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T) -> CorrelationSeries:
@@ -71,11 +94,9 @@ def _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T) -> CorrelationSerie
         kind, norm = "g3", _stationary_norm(rho, (j, k))
     else:
         kind, norm = "g25", _stationary_norm(rho, (k,), (j, theta))
-    inserted = state_chain(lv, i, grid) @ _insertion(j, theta).T
-    effects = effect_chain(lv_adj, k, grid, T)
-    # Tr(E @ X) per row; a C-order reshape of a column-stacked row is the transpose
-    square = (-1, DIM_PAIR, DIM_PAIR)
-    raw = np.einsum("nab,nba->n", effects.reshape(square), inserted.reshape(square))
+    inserted = _apply(_state_coordinates(lv, i, grid), _basis_insertion(j, theta))
+    effects = _effect_coordinates(lv_adj, k, grid, T)[:, 0]
+    raw = _joined(np.einsum("nca,na->nc", inserted, effects), axis=-1)
     vals = _normalized(raw, norm, theta, f"{kind}_pqs_{i}{j}{k}")
     return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
                              theta=theta, T=T)

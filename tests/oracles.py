@@ -4,13 +4,14 @@ Each is written the plain way, one matrix product at a time, so that it
 shares no kernel with the code it checks: the pointwise correlator against
 the batched insertion kernel of ``rydcorr.correlators``, the dark state and
 the atom swap against the model's Hamiltonian, steady state and jump
-operators.
+operators, and the Hermitian operator basis written out from its
+definition against ``rydcorr.algebra``'s index arithmetic.
 """
 
 import numpy as np
 
 from rydcorr import propagate
-from rydcorr.model import DIM_ATOM, DIM_PAIR, sigma
+from rydcorr.model import DIM_ATOM, DIM_PAIR, sigma, single_atom_hamiltonian
 
 
 def count_event(time, atom):
@@ -63,3 +64,58 @@ def atom_swap():
         for k2 in range(DIM_ATOM):
             s[DIM_ATOM * k2 + k1, DIM_ATOM * k1 + k2] = 1.0
     return s
+
+
+def single_atom_steady_state(p, digits=30):
+    """Stationary state of one atom (its Hamiltonian and its three jump
+    operators, as in ``model``), solved in ``digits``-digit arithmetic with
+    mpmath and rounded to complex128: for v12 = 0 the pair's is its kron square."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        def unit(k, l):
+            m = mpmath.zeros(3, 3)
+            m[k, l] = 1
+            return m
+
+        h = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                           for row in single_atom_hamiltonian(p)])
+        jumps = [mpmath.sqrt(mpmath.mpf(p.gamma1)) * unit(0, 1),
+                 mpmath.sqrt(mpmath.mpf(p.gamma2)) * unit(1, 2),
+                 mpmath.sqrt(mpmath.mpf(p.gamma_ph)) * (unit(2, 2) - unit(1, 1) - unit(0, 0))]
+        gen = mpmath.zeros(9, 9)
+        for b in range(9):
+            x = unit(b % 3, b // 3)
+            y = -1j * (h * x - x * h)
+            for c in jumps:
+                y += c * x * c.H - (c.H * c * x + x * c.H * c) / 2
+            for a in range(9):
+                gen[a, b] = y[a % 3, a // 3]
+        for b in range(9):  # the first row becomes the trace
+            gen[0, b] = 1 if b % 4 == 0 else 0
+        rhs = mpmath.zeros(9, 1)
+        rhs[0] = 1
+        vec = mpmath.lu_solve(gen, rhs)
+        return np.array([[complex(vec[i + 3 * j]) for j in range(3)] for i in range(3)])
+
+
+def hermitian_basis_unitary(n):
+    """U with the vectorized basis elements E_kk, (E_kl + E_lk)/sqrt2 and
+    i(E_kl - E_lk)/sqrt2 (k < l) as columns, each at the vec position of
+    (k, k), (k, l) and (l, k), written out from the definition."""
+    u = np.zeros((n * n, n * n), dtype=complex)
+    s = np.sqrt(0.5)
+    for k in range(n):
+        u[k + n * k, k + n * k] = 1.0
+        for l in range(k + 1, n):
+            sym, anti = k + n * l, l + n * k
+            u[[sym, anti], sym] = s
+            u[sym, anti], u[anti, anti] = 1j * s, -1j * s
+    return u
+
+
+def conjugation_defect(eigenvalues):
+    """Largest distance from a conjugated eigenvalue to its nearest
+    eigenvalue: 0 for a multiset closed under conjugation."""
+    w = np.asarray(eigenvalues, dtype=complex)
+    return float(np.abs(w.conj()[:, np.newaxis] - w[np.newaxis, :]).min(axis=1).max())

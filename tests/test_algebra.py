@@ -10,6 +10,8 @@ from rydcorr.errors import (
     NonSquareError,
 )
 
+from oracles import hermitian_basis_unitary
+
 RNG = np.random.default_rng(20260809)
 
 
@@ -145,3 +147,48 @@ def test_expm_self_check_raises_accuracy_not_met(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: expm(a) * (1.0 + 1e-6))
     with pytest.raises(AccuracyNotMetError, match="self-check"):
         algebra.expm(random_complex((9, 9), scale=0.3))
+
+
+# --- Hermitian basis ------------------------------------------------------------
+
+def random_hermitian_wide(n):
+    """A Hermitian matrix whose entries span ten decades."""
+    m = random_complex((n, n)) * 10.0 ** RNG.uniform(-5, 5, (n, n))
+    return m + m.conj().T
+
+
+def test_hermitian_basis_matches_its_definition():
+    u = hermitian_basis_unitary(9)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(81))) < 1e-15
+    v = random_complex((5, 81))
+    assert np.allclose(algebra.to_hermitian_basis(v), v @ u.conj(), rtol=0, atol=1e-15)
+    assert np.allclose(algebra.from_hermitian_basis(v), v @ u.T, rtol=0, atol=1e-15)
+    m = random_complex((81, 81))
+    assert np.allclose(algebra.superoperator_in_hermitian_basis(m), u.conj().T @ m @ u,
+                       rtol=0, atol=1e-14)
+
+
+def test_hermitian_coordinates_are_real_and_round_trip_to_1_ulp():
+    """Coordinates of a Hermitian matrix have no imaginary part at all, and
+    converting back returns each entry within 1 ulp of the larger of it and
+    its transposed partner (real and imaginary parts alike)."""
+    for n in (2, 3, 9):
+        up, lo = np.triu_indices(n, 1)
+        partner = np.arange(n * n).reshape(n, n).T.ravel()  # vec position of the transpose
+        for _ in range(300):
+            v = algebra.vectorize(random_hermitian_wide(n))
+            x = algebra.to_hermitian_basis(v)
+            assert not x.imag.any()
+            back = algebra.from_hermitian_basis(x.real)
+            for part in (np.real, np.imag):
+                scale = np.maximum(np.abs(part(v)), np.abs(part(v))[partner])
+                assert np.all(np.abs(part(back) - part(v)) <= np.spacing(scale))
+
+
+def test_expm_and_eig_keep_real_input_real():
+    m = RNG.standard_normal((9, 9)) * 0.3
+    assert algebra.expm(m).dtype == np.float64
+    assert np.allclose(algebra.expm(m), scipy.linalg.expm(m.astype(complex)), rtol=0, atol=1e-14)
+    w = algebra.eig(m).eigenvalues
+    complex_w = np.linalg.eigvals(m.astype(complex))
+    assert np.abs(w[:, None] - complex_w[None, :]).min(axis=1).max() < 1e-12

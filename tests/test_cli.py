@@ -361,6 +361,22 @@ def test_bad_number_exits_2_from_flag_or_config(tmp_path, monkeypatch, capsys, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["g2", "--bogus", "1"], "--bogus"),
+    (["g9"], "'g9'"),
+    (["g2", "--omega1"], "--omega1"),
+    # argparse reads "-inf" after a space as an option, so --theta has no value
+    (["g15", "--theta", "-inf"], "--theta"),
+], ids=["unknown-flag", "unknown-command", "flag-without-value", "theta-minus-inf"])
+def test_argument_errors_return_2(tmp_path, monkeypatch, capsys, argv, named):
+    """argparse's own errors end in main's return value 2, with a message that
+    names the bad argument, as a bad value does; nothing is built or written."""
+    refuse_generators(monkeypatch)
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_philox_key_range_exits_2(tmp_path, monkeypatch, seed):
     refuse_philox(monkeypatch)

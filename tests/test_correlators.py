@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rydcorr import (
     ModelParams,
@@ -16,14 +17,20 @@ from rydcorr import (
     steady_state,
 )
 from rydcorr.algebra import vectorize
-from rydcorr.correlators import CorrelationSeries, _insertion, _suffix_propagate
+from rydcorr.correlators import (
+    CorrelationSeries,
+    _basis_insertion,
+    _inserted,
+    _insertion,
+    _suffix_propagate,
+)
 from rydcorr.errors import (
     DegenerateQuadratureError,
     NoOscillationError,
     TooFewSamplesError,
     ZeroEmissionRateError,
 )
-from rydcorr.liouville import chain, grid_steps
+from rydcorr.liouville import _apply, _column_stacked, _coordinate_chain, _coordinates, grid_steps
 from rydcorr.model import PairOperator, sigma
 
 from conftest import THETA, default_grid, rel_close, series_rel_close
@@ -184,14 +191,25 @@ def test_three_time_matches_pointwise_insertion(lv, rho_ss, kind, atoms, T, n):
 
 def stepwise_suffix(lv, rows, grid, t_end):
     """Oracle for the suffix march: one grid step at a time, each applied to
-    every row still short of it (N^2 / 2 row products), then the tail."""
-    w = rows.copy()
+    every row still short of it (N^2 / 2 row products), then the tail.
+
+    It takes and returns coordinate rows, as ``_suffix_propagate`` does, but
+    marches them column-stacked with scipy's exponential of ``lv.matrix``,
+    apart from the real kernel."""
+    props = {}
+
+    def prop(dt):
+        if dt not in props:
+            props[dt] = scipy.linalg.expm(lv.matrix * dt).T
+        return props[dt]
+
+    w = _column_stacked(rows)
     for m, dt in enumerate(grid_steps(grid), start=1):
-        w[:m] = w[:m] @ lv.propagator(dt).T
+        w[:m] = w[:m] @ prop(dt)
     tail = t_end - grid[-1]
     if tail > 0:
-        w = w @ lv.propagator(tail).T
-    return w
+        w = w @ prop(tail)
+    return _coordinates(w)
 
 
 @pytest.mark.parametrize("kind", ["g3", "g25"])
@@ -236,18 +254,20 @@ def test_blocked_suffix_march_error(lv, rho_ss):
     """g25 (1,1,2)'s rows after the amplitude insertion, marched on to T = 20,
     against the same march in extended precision (exact exp(L h), powers by
     squaring in 80 bits). The blocked march errs by at most 5e-14 of the
-    largest entry (measured 2.1e-14 at N = 81 and 9.9e-15 at N = 638), and
-    on fig6's 638-point grid by at most half as much as the step-by-step
-    march, whose rounding compounds over 637 products (measured 0.11x). A
-    jump formed as P(h)^B by squaring measured 1.34e-13 there, 1.5x the
-    step-by-step error."""
+    largest entry (measured 4.1e-15 at N = 81 and 6.4e-15 at N = 638 in the
+    real basis; 2.1e-14 and 9.9e-15 with the complex kernel), and on fig6's
+    638-point grid by at most half as much as the step-by-step march, whose
+    rounding compounds over 637 products (measured 0.071x). A jump formed
+    as P(h)^B by squaring measured 1.34e-13 there, 1.5x the step-by-step
+    error. Both marches take and return coordinate rows."""
     T = 20.0
     errors = {}
     for n in (81, 638):
         grid = np.linspace(0.0, T, n)
-        rows = chain(lv, _insertion(1, None) @ vectorize(rho_ss),
-                     np.r_[0.0, grid_steps(grid)]) @ _insertion(1, THETA).T
-        exact = rows.astype(np.clongdouble)
+        rows = _apply(_coordinate_chain(lv, _inserted(rho_ss, _basis_insertion(1, None)),
+                                        np.r_[0.0, grid_steps(grid)]),
+                      _basis_insertion(1, THETA))
+        exact = _column_stacked(rows).astype(np.clongdouble)
         power = expm_extended(lv.matrix * grid_steps(grid)[0]).T
         steps = np.arange(n - 1, -1, -1)
         while steps.any():
@@ -256,7 +276,7 @@ def test_blocked_suffix_march_error(lv, rho_ss):
             steps //= 2
             power = power @ power
         scale = np.abs(exact).max()
-        errors[n] = [float(np.abs(march(lv, rows, grid, T) - exact).max() / scale)
+        errors[n] = [float(np.abs(_column_stacked(march(lv, rows, grid, T)) - exact).max() / scale)
                      for march in (_suffix_propagate, stepwise_suffix)]
         assert errors[n][0] <= 5e-14
     assert errors[638][0] <= 0.5 * errors[638][1]

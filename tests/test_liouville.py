@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rydcorr import (
     ModelParams,
@@ -12,10 +16,17 @@ from rydcorr import (
 from rydcorr.algebra import devectorize, vectorize
 from rydcorr.cli import InvariantLog
 from rydcorr.errors import DegenerateSteadyStateError, NegativeDurationError, NotPositiveError
-from rydcorr.liouville import conjugation_defect, grid_steps, state_residuals
+from rydcorr.liouville import (
+    PROPAGATOR_CACHE_SIZE,
+    Liouvillian,
+    _column_sums,
+    _two_product,
+    grid_steps,
+    state_residuals,
+)
 from rydcorr.model import jump_operators, pair_hamiltonian, sigma
 
-from oracles import dark_state
+from oracles import conjugation_defect, dark_state, hermitian_basis_unitary, single_atom_steady_state
 
 RNG = np.random.default_rng(42)
 
@@ -227,7 +238,11 @@ def test_spectrum_structure(lv, rho_ss):
     w = spec.eigenvalues
     assert spec.stationary_count == 1
     assert w.real.max() <= 1e-10
-    assert conjugation_defect(w) < 1e-8
+    # the real matrix closes the eigenvalues under conjugation by construction;
+    # the complex generator's own eigenvalues show it, and match them
+    complex_w = scipy.linalg.eigvals(lv.matrix)
+    assert conjugation_defect(complex_w) < 1e-8
+    assert np.abs(w[:, np.newaxis] - complex_w[np.newaxis, :]).min(axis=1).max() < 1e-8
     mode0 = spec.right_modes[:, 0].reshape(9, 9, order="F")
     assert np.max(np.abs(mode0 - rho_ss)) < 1e-8
 
@@ -251,3 +266,103 @@ def test_negative_eigenvalue_raises_not_positive(params, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) - 1e-6)
     with pytest.raises(NotPositiveError):
         steady_state(build_liouvillian(params))
+
+
+# --- the real generator in the Hermitian basis ---------------------------------
+
+REFERENCE_RATES = {"omega1": 0.2, "omega2": 5.0, "v12": 1.0, "gamma2": 1e-4, "gamma_ph": 1e-4}
+
+
+def scan_points(count, seed=20261018):
+    """The reference point, then seeded points with each rate log-uniform
+    within a decade of it either way."""
+    rng = np.random.default_rng(seed)
+    yield ModelParams(**REFERENCE_RATES)
+    for _ in range(count):
+        yield ModelParams(**{k: v * 10.0 ** rng.uniform(-1.0, 1.0)
+                             for k, v in REFERENCE_RATES.items()})
+
+
+def test_generator_is_real_in_the_hermitian_basis():
+    """U^H L U, with U written out from the basis definition, has an imaginary
+    residue of at most 1e-14 ||L||, and ``Liouvillian.real`` is its real part."""
+    u = hermitian_basis_unitary(9)
+    for p in scan_points(200):
+        lv = build_liouvillian(p)
+        scale = np.linalg.norm(lv.matrix)
+        basis = u.conj().T @ lv.matrix @ u
+        assert np.max(np.abs(basis.imag)) <= 1e-14 * scale
+        assert np.max(np.abs(basis.real - lv.real)) <= 1e-14 * scale
+
+
+def test_adjoint_real_matrix_is_the_exact_transpose(lv, lv_adj):
+    assert np.array_equal(lv_adj.real, lv.real.T)
+    assert lv.real.dtype == lv_adj.real.dtype == np.float64
+    assert not lv.real.flags.writeable and not lv_adj.real.flags.writeable
+
+
+def test_generator_that_does_not_preserve_hermiticity_is_refused(lv):
+    with pytest.raises(ValueError, match="Hermiticity"):
+        Liouvillian(lv.matrix + 1e-6j * np.eye(81), params=lv.params)
+
+
+def test_propagate_matches_scipy_expm_of_the_column_stacked_generator(lv, lv_adj):
+    """The real propagator, with the conversions at either end, against
+    scipy's exponential of L itself, for Hermitian and non-Hermitian input."""
+    for gen in (lv, lv_adj):
+        for t in (0.05, 1.3, 12.0):
+            exact = scipy.linalg.expm(gen.matrix * t)
+            for x in (random_density(), random_hermitian(), random_density() @ sigma(1, 2, 1).matrix):
+                want = devectorize(exact @ vectorize(x), 9, 9)
+                assert np.max(np.abs(propagate(gen, x, t) - want)) <= 1e-13 * np.abs(x).max()
+
+
+def test_propagator_cache_is_bounded_lru(lv, monkeypatch):
+    """10^4 distinct durations leave at most PROPAGATOR_CACHE_SIZE exponentials;
+    the least recently used goes first, so a duration in steady use stays."""
+    lv = build_liouvillian(lv.params)
+    computed = []
+    monkeypatch.setattr("rydcorr.liouville.algebra.expm",
+                        lambda m: computed.append(m[0, 0]) or np.eye(81))
+    lv.propagator(0.5)
+    for n in range(10_000):
+        lv.propagator(1.0 + n)
+        lv.propagator(0.5)
+        assert len(lv._propagators) <= PROPAGATOR_CACHE_SIZE
+    assert len(computed) == 1 + 10_000  # 0.5 was never evicted
+    assert 1.0 not in lv._propagators and 10_000.0 in lv._propagators
+
+
+def test_uncoupled_steady_state_is_exact_in_its_excited_block():
+    """Without the interaction the stationary state is the kron square of the
+    single-atom one. Its block with atom 1 in |2>, of norm p = 8e-7 at the
+    reference rates, is what a count on atom 1 keeps, so its error relative
+    to p sets the error of every correlator after that count. The solve's
+    refinement on a double-double residual measured 8e-18 of p; with the
+    products or the sums of that residual rounded to double, 3e-15 and
+    5e-15; a double-precision residual on the real matrix, 2.4e-14, which
+    put g15 of the uncoupled atoms 5e-9 off 1."""
+    p = ModelParams(v12=0.0)
+    rho = steady_state(build_liouvillian(p))
+    single = single_atom_steady_state(p)
+    exact = np.kron(single, single)
+    block = slice(3, 6)
+    scale = np.trace(exact[block, block]).real
+    assert np.max(np.abs(rho[block, block] - exact[block, block])) <= 1e-15 * scale
+
+
+def test_residual_arithmetic_is_error_free():
+    """The steady state's refinement residual rests on two float64 kernels:
+    Dekker's product, exact as a pair of doubles, and a TwoSum tree that
+    sums columns with heavy cancellation as accurately as math.fsum, to
+    within 2 ulp of the sum."""
+    rng = np.random.default_rng(20261018)
+    a = rng.standard_normal(500) * 10.0 ** rng.uniform(-8, 8, 500)
+    b = rng.standard_normal(500) * 10.0 ** rng.uniform(-8, 8, 500)
+    p, e = _two_product(a, b)
+    assert all(Fraction(x) * Fraction(y) == Fraction(hi) + Fraction(lo)
+               for x, y, hi, lo in zip(a, b, p, e))
+    terms = rng.standard_normal((64, 40)) * 10.0 ** rng.uniform(-3, 3, (64, 40))
+    terms[-1] = [-math.fsum(col) + 1e-12 * rng.standard_normal() for col in terms[:-1].T]
+    exact = np.array([math.fsum(col) for col in terms.T])
+    assert np.all(np.abs(_column_sums(terms) - exact) <= 2 * np.spacing(np.abs(exact)))

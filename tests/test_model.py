@@ -56,6 +56,32 @@ def test_sigma_rejects_bad_indices():
         sigma(3, 1, 2)
 
 
+def test_sigma_is_memoised_and_read_only():
+    """Equal arguments give the same frozen operator; its matrix cannot be
+    written, so no caller can corrupt the one every other caller shares."""
+    op = sigma(2, 2, 1)
+    assert sigma(2, 2, 1) is op
+    assert not op.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        op.matrix = np.eye(9)
+    assert np.array_equal(op.matrix, np.kron(np.eye(3), np.eye(3)[:, [1]] @ np.eye(3)[[0], :]))
+
+
+@pytest.mark.parametrize("args", [(1, 0, 2), (1, 2, 4), (1, 2, 2.5), (0, 1, 2), (3, 1, 2),
+                                  (1, "2", 2)])
+def test_sigma_still_checks_indices_once_cached(args):
+    """The checks run before the cache: a bad level or atom raises every time,
+    also after the valid operators have been cached."""
+    for j in (1, 2):
+        for k in (1, 2, 3):
+            sigma(j, k, k)
+    for _ in range(2):
+        with pytest.raises(BadLevelError):
+            sigma(*args)
+
+
 def test_single_atom_hamiltonian_entries():
     p = ModelParams(omega1=0.2, omega2=5.0)
     h = single_atom_hamiltonian(p)
