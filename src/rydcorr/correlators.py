@@ -4,11 +4,16 @@ Every correlator is a choice of insertion superoperators fed to one kernel,
 ``_regression``: between insertions the (unnormalized) conditional matrix
 evolves under the master-equation generator, and each insertion multiplies
 it from the left and/or right. A photon count on atom i is X -> s12_i X
-s21_i; a homodyne amplitude insertion multiplies by s21_j on the right only,
-which is the ordering the time-ordered, normally ordered field correlators
-reduce to. ``_insertion`` writes both as 81x81 superoperators, and the
-past-quantum-state route builds its jumped state with the same one. The
-kernel runs in the Hermitian basis of ``liouville``: the start vector, the
+s21_i. A homodyne measurement of atom j's field quadrature at phase theta
+(Carmichael, Castro-Beltran, Foster & Orozco, PRL 85, 1855 (2000)) is
+X -> (e^{i theta} X s21_j + e^{-i theta} s12_j X) / 2: on the Hermitian X
+the kernel carries, this is the Hermitian part of e^{i theta} X s21_j, the
+ordering the time-ordered, normally ordered field correlators reduce to, so
+a trace read after it is Re(e^{i theta} ...) of the one-sided insertion's.
+``_insertion`` writes both as 81x81 superoperators, and the
+past-quantum-state route builds its jumped state with the same one. Both
+map Hermitian matrices to Hermitian matrices, so the kernel runs in the
+Hermitian basis of ``liouville`` on real rows only: the start vector, the
 insertions (``_basis_insertion``) and the readout functional are converted
 once, and the rows marched in real arithmetic.
 
@@ -44,10 +49,8 @@ from .errors import (
 )
 from .liouville import (
     Liouvillian,
-    _apply,
     _coordinate_chain,
     _coordinates,
-    _joined,
     grid_steps,
     steady_state,
 )
@@ -65,7 +68,6 @@ __all__ = [
 
 SERIES_KINDS = ("g2", "g15", "g3", "g25", "amplitude_ratio")
 EMISSION_RATE_FLOOR = 1e-14
-IMAG_RESIDUE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -143,30 +145,29 @@ def _check_grid(grid, lo=None, hi=None):
 
 def _march(lv: Liouvillian, rows: np.ndarray, counts: np.ndarray, h: float,
            block: int) -> np.ndarray:
-    """Advance coordinate row n (rows of shape (N, c, 81)) by counts[n] steps
+    """Advance coordinate row n (rows of shape (N, 81)) by counts[n] steps
     of h: first counts[n] % block single steps of P(h), then counts[n] // block
     jumps of P(block h).
 
     The jump is its own exponential, never a power of P(h): squaring P(h)
     compounds its rounding, to 13x the error of the direct jump on a
     638-point grid.
-    Each phase applies its propagator to the rows still short of their count,
-    so a phase of at most s steps costs s matrix products; the real and
-    imaginary parts of a complex row advance in the same product.
+    Each phase fetches its propagator once and applies it to the rows still
+    short of their count, so a phase of at most s steps costs s matrix
+    products.
     """
-    n, c, d = rows.shape
-    w = rows.reshape(n * c, d).copy()
-    counts = np.repeat(counts, c)
+    w = rows.copy()
     for dt, reps in ((h, counts % block), (block * h, counts // block)):
         if not reps.any():
             continue
+        prop = lv.propagator(dt).T
         order = np.argsort(-reps, kind="stable")  # most steps first
         ws = w[order]
         short = np.cumsum(np.bincount(reps)[::-1])[::-1]  # short[s]: rows with >= s steps
         for s in range(1, len(short)):
-            ws[:short[s]] = ws[:short[s]] @ lv.propagator(dt).T
+            ws[:short[s]] = ws[:short[s]] @ prop
         w[order] = ws
-    return w.reshape(n, c, d)
+    return w
 
 
 def _suffix_propagate(lv: Liouvillian, rows: np.ndarray, grid: np.ndarray, t_end: float) -> np.ndarray:
@@ -185,10 +186,10 @@ def _suffix_propagate(lv: Liouvillian, rows: np.ndarray, grid: np.ndarray, t_end
     else:
         w = rows.copy()
         for m, dt in enumerate(steps, start=1):
-            w[:m] = _apply(w[:m], lv.propagator(dt))
+            w[:m] = w[:m] @ lv.propagator(dt).T
     tail = t_end - grid[-1]
     if tail > 0:
-        w = _apply(w, lv.propagator(tail))
+        w = w @ lv.propagator(tail).T
     return w
 
 
@@ -203,47 +204,44 @@ def _stationary_norm(rho: np.ndarray, counts, amplitude=None) -> float:
     return norm
 
 
-def _normalized(raw: np.ndarray, norm: float, theta: float | None, what: str) -> np.ndarray:
-    """Raw traces over the stationary norm: amplitude traces are projected on
-    the theta quadrature, intensity traces (theta None) must be real."""
-    if theta is not None:
-        return (np.exp(1j * theta) * raw).real / norm
-    scale = max(1.0, float(np.max(np.abs(raw.real))) if raw.size else 1.0)
-    worst = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst > IMAG_RESIDUE_TOL * scale:
-        raise InvariantViolationError(f"{what}: imaginary residue {worst:.3e} exceeds tolerance")
-    return raw.real / norm
-
-
 def _insertion(atom: int, theta: float | None) -> np.ndarray:
     """Superoperator of a count on one atom (theta None), X -> s12 X s21, or of
-    an amplitude insertion, X -> X s21: X -> A X B is kron(B.T, A) on
-    column-stacked X."""
-    right = sigma(atom, 2, 1).matrix
-    left = sigma(atom, 1, 2).matrix if theta is None else np.eye(DIM_PAIR)
-    return algebra.kron(right.T, left)
+    its theta-quadrature amplitude, X -> (e^{i theta} X s21 + e^{-i theta}
+    s12 X) / 2: X -> A X B is kron(B.T, A) on column-stacked X."""
+    s12, s21 = sigma(atom, 1, 2).matrix, sigma(atom, 2, 1).matrix
+    if theta is None:
+        return algebra.kron(s21.T, s12)
+    phase = 0.5 * np.exp(1j * theta)
+    eye = np.eye(DIM_PAIR)
+    return phase * algebra.kron(s21.T, eye) + phase.conjugate() * algebra.kron(eye, s12)
 
 
 @functools.lru_cache(maxsize=64)
 def _basis_insertion(atom: int, theta: float | None) -> np.ndarray:
-    """``_insertion`` in the Hermitian basis: real for a count, which maps
-    Hermitian matrices to Hermitian matrices; complex for an amplitude."""
-    op = algebra.superoperator_in_hermitian_basis(_insertion(atom, theta))
-    op = np.ascontiguousarray(op.real) if theta is None else op
+    """``_insertion`` in the Hermitian basis: real, as both insertions map
+    Hermitian matrices to Hermitian matrices."""
+    op = np.ascontiguousarray(
+        algebra.superoperator_in_hermitian_basis(_insertion(atom, theta)).real)
     op.flags.writeable = False
     return op
 
 
+def _quadrature(atom: int, theta: float) -> np.ndarray:
+    """Q = (e^{i theta} s21 + e^{-i theta} s12) / 2, exactly Hermitian: on a
+    Hermitian X, Tr(Q X) = Re(e^{i theta} Tr(s21 X))."""
+    a = 0.5 * np.exp(1j * theta) * sigma(atom, 2, 1).matrix
+    return a + a.conj().T
+
+
 def _inserted(rho: np.ndarray, insertion: np.ndarray) -> np.ndarray:
-    """Coordinates, shape (c, 81), of a basis insertion applied to rho."""
-    return _apply(_coordinates(algebra.vectorize(rho))[np.newaxis], insertion)[0]
+    """Coordinates, shape (81,), of a basis insertion applied to rho."""
+    return _coordinates(algebra.vectorize(rho)) @ insertion.T
 
 
 def _read(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Tr(probe @ X) for each coordinate row X: in the orthonormal Hermitian
-    basis, the plain dot product of the coordinates of probe and X."""
-    functional = _joined(_coordinates(algebra.vectorize(probe)))
-    return _joined(_apply(rows, functional[np.newaxis]))[:, 0]
+    """Tr(probe @ X) for each coordinate row X, with probe Hermitian: in the
+    orthonormal Hermitian basis, the plain dot product of their coordinates."""
+    return rows @ _coordinates(algebra.vectorize(probe))
 
 
 def _regression(lv: Liouvillian, rho: np.ndarray, first: np.ndarray, grid: np.ndarray,
@@ -258,7 +256,7 @@ def _regression(lv: Liouvillian, rho: np.ndarray, first: np.ndarray, grid: np.nd
     """
     rows = _coordinate_chain(lv, _inserted(rho, first), np.r_[grid[:1], grid_steps(grid)])
     if mid is not None:
-        rows = _suffix_propagate(lv, _apply(rows, mid), grid, T)
+        rows = _suffix_propagate(lv, rows @ mid.T, grid, T)
     return _read(rows, probe)
 
 
@@ -269,8 +267,7 @@ def g2(lv: Liouvillian, i: int, j: int, tau_grid) -> CorrelationSeries:
     grid = _check_grid(tau_grid, lo=0.0)
     rho = steady_state(lv)
     norm = _stationary_norm(rho, (i, j))
-    raw = _regression(lv, rho, _basis_insertion(i, None), grid, sigma(j, 2, 2).matrix)
-    vals = _normalized(raw, norm, None, f"g2_{i}{j}")
+    vals = _regression(lv, rho, _basis_insertion(i, None), grid, sigma(j, 2, 2).matrix) / norm
     return CorrelationSeries(kind="g2", atoms=(i, j), tau_grid=grid, values=vals)
 
 
@@ -288,14 +285,14 @@ def g15(lv: Liouvillian, i: int, j: int, theta: float, tau_grid) -> CorrelationS
     vals = np.empty(grid.size, dtype=float)
     pos = grid >= 0
     if np.any(pos):
-        raw = _regression(lv, rho, _basis_insertion(i, None), grid[pos], sigma(j, 2, 1).matrix)
-        vals[pos] = _normalized(raw, norm, theta, f"g15_{i}{j}")
+        raw = _regression(lv, rho, _basis_insertion(i, None), grid[pos], _quadrature(j, theta))
+        vals[pos] = raw / norm
     neg = ~pos
     if np.any(neg):
-        # amplitude first: evolve rho_ss @ s21_j forward by |tau|
+        # amplitude first: evolve the quadrature-inserted rho_ss forward by |tau|
         raw = _regression(lv, rho, _basis_insertion(j, theta), -grid[neg][::-1],
                           sigma(i, 2, 2).matrix)
-        vals[neg] = _normalized(raw, norm, theta, f"g15_{i}{j}")[::-1]
+        vals[neg] = raw[::-1] / norm
     return CorrelationSeries(kind="g15", atoms=(i, j), tau_grid=grid, values=vals, theta=theta)
 
 
@@ -308,9 +305,8 @@ def _three_time(lv, i, j, k, theta, tau_grid, T) -> CorrelationSeries:
         kind, norm = "g3", _stationary_norm(rho, (i, j, k))
     else:
         kind, norm = "g25", _stationary_norm(rho, (i, k), (j, theta))
-    raw = _regression(lv, rho, _basis_insertion(i, None), grid, sigma(k, 2, 2).matrix,
-                      mid=_basis_insertion(j, theta), T=T)
-    vals = _normalized(raw, norm, theta, f"{kind}_{i}{j}{k}")
+    vals = _regression(lv, rho, _basis_insertion(i, None), grid, sigma(k, 2, 2).matrix,
+                       mid=_basis_insertion(j, theta), T=T) / norm
     return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
                              theta=theta, T=T)
 
@@ -361,14 +357,14 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
         rel = np.linspace(0.0, 2.0 * window, max(2, int(round(2.0 * window / dtau)) + 1))
         rel_steps = np.r_[0.0, grid_steps(rel)]
         mid = _basis_insertion(j, theta)
-        lead = lv.propagator(lo0)
+        lead = lv.propagator(lo0).T
         probe = sigma(k, 2, 2).matrix
         block = math.isqrt(Ts.size)
         for n, start in enumerate(starts):
-            rows = _apply(_coordinate_chain(lv, start, rel_steps), mid)
-            rows = _apply(_suffix_propagate(lv, rows, rel, rel[-1]), lead)
+            rows = _coordinate_chain(lv, start, rel_steps) @ mid.T
+            rows = _suffix_propagate(lv, rows, rel, rel[-1]) @ lead
             rows = _march(lv, rows, np.full(rel.size, n), half, block)
-            ratio = _normalized(_read(rows, probe), norm, theta, f"g25_{i}{j}{k}") / g2_at_T[n]
+            ratio = _read(rows, probe) / norm / g2_at_T[n]
             stats[:, n] = ratio.max(), ratio.min(), ratio.mean()
     else:
         for n, T in enumerate(Ts):

@@ -18,10 +18,9 @@ each is a real matrix, ``Liouvillian.real`` = U^H L U (Alicki & Lendi,
 Quantum Dynamical Semigroups and Applications, LNP 286, 1987). The adjoint's
 is the exact transpose of the forward one. Every exponential, the
 steady-state solve, the spectrum and every march step run on it in real
-arithmetic. A march carries its rows in coordinates: real rows for Hermitian
-matrices, and the real and imaginary parts of a complex row (after an
-amplitude insertion, which is not Hermitian) stacked, shape (rows, 2, 81),
-so that one real product advances both. Conversions from and to column
+arithmetic. A march carries its rows as real coordinates, shape
+(rows, 81): every insertion the correlators use maps Hermitian matrices to
+Hermitian matrices, so every row is Hermitian. Conversions from and to column
 stacking happen once per chain or march (its start vector, the insertion
 superoperators, the readout functional), never per propagator: each real
 exponential sandwiched back as U P U^H for use on column-stacked rows adds
@@ -164,53 +163,26 @@ def build_adjoint_liouvillian(p: ModelParams) -> Liouvillian:
 # --- coordinate rows ---------------------------------------------------------
 
 def _coordinates(v: np.ndarray) -> np.ndarray:
-    """Column-stacked matrices (along the last axis) as coordinate rows: the
-    real parts of their Hermitian-basis coordinates, shape (..., 1, 81), with
-    the imaginary parts stacked after them, (..., 2, 81), unless all are zero."""
-    x = algebra.to_hermitian_basis(v)
-    parts = (x.real, x.imag) if x.imag.any() else (x.real,)
-    return np.stack(parts, axis=-2)
-
-
-def _joined(parts: np.ndarray, axis: int = -2) -> np.ndarray:
-    """Real (one part) or complex (two parts) values from parts stacked on ``axis``."""
-    re, *im = np.moveaxis(parts, axis, 0)
-    return re + 1j * im[0] if im else re
-
-
-def _column_stacked(rows: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_coordinates`: complex column-stacked matrices."""
-    return algebra.from_hermitian_basis(_joined(rows))
-
-
-def _apply(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """op @ x for each coordinate row x of ``rows`` (shape (N, c, 81)), with
-    ``op`` an (m, 81) Hermitian-basis matrix, real or complex: one real product.
-
-    A complex op turns real rows complex: their parts are rows @ [Re^T Im^T]
-    and, for rows already complex, [x_re x_im] @ [[Re^T, Im^T], [-Im^T, Re^T]].
-    """
-    n, c, d = rows.shape
-    if not np.iscomplexobj(op):
-        return (rows.reshape(n * c, d) @ op.T).reshape(n, c, -1)
-    re, im = op.real.T, op.imag.T
-    block = np.hstack([re, im]) if c == 1 else np.block([[re, im], [-im, re]])
-    return (rows.reshape(n, c * d) @ block).reshape(n, 2, -1)
+    """Column-stacked Hermitian matrices (along the last axis) as coordinate
+    rows: their Hermitian-basis coordinates, which are real."""
+    return algebra.to_hermitian_basis(v).real
 
 
 def _coordinate_chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
-    """March coordinates x0 of shape (c, 81) through successive durations,
-    one row of the (N, c, 81) result per step.
+    """March the coordinate row x0 through successive durations, one row of
+    the (N, 81) result per step.
 
     Row n is x0 propagated by steps[0] + ... + steps[n]; a zero step repeats
     the previous row without an exponential, and a negative one raises
-    NegativeDurationError.
+    NegativeDurationError. A run of equal steps fetches its propagator once.
     """
-    out = np.empty((len(steps),) + x0.shape)
-    v = x0
+    out = np.empty((len(steps), x0.size))
+    v, dt_prev, prop = x0, None, None
     for n, dt in enumerate(steps):
         if dt != 0:
-            v = v @ lv.propagator(dt).T
+            if dt != dt_prev:
+                dt_prev, prop = dt, lv.propagator(dt).T
+            v = v @ prop
         out[n] = v
     return out
 
@@ -350,8 +322,10 @@ def propagate(lv: Liouvillian, x: np.ndarray, t: float) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if t == 0:
         return x.copy()
-    rows = _coordinates(algebra.vectorize(x)) @ lv.propagator(t).T
-    return algebra.devectorize(_column_stacked(rows), DIM_PAIR, DIM_PAIR)
+    # a non-Hermitian x has complex coordinates: march both parts in one product
+    coords = algebra.to_hermitian_basis(algebra.vectorize(x))
+    re, im = np.stack([coords.real, coords.imag]) @ lv.propagator(t).T
+    return algebra.devectorize(algebra.from_hermitian_basis(re + 1j * im), DIM_PAIR, DIM_PAIR)
 
 
 def grid_steps(grid) -> np.ndarray:

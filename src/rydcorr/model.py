@@ -60,7 +60,7 @@ class ModelParams:
             raise ValueError("gamma1 is the unit of rate and must be exactly 1")
         if self.gamma2 < 0 or self.gamma_ph < 0:
             raise ValueError("decay and dephasing rates must be >= 0")
-        if abs(self.omega1) ** 2 + abs(self.omega2) ** 2 <= 0:
+        if self.omega1 == 0 and self.omega2 == 0:
             raise ValueError("at least one Rabi frequency must be nonzero")
         if not all(
             np.isfinite(x)
@@ -70,8 +70,9 @@ class ModelParams:
 
     @property
     def rabi(self) -> float:
-        """Combined Rabi frequency sqrt(|omega1|^2 + |omega2|^2)."""
-        return math.sqrt(abs(self.omega1) ** 2 + abs(self.omega2) ** 2)
+        """Combined Rabi frequency sqrt(|omega1|^2 + |omega2|^2), without
+        overflow or underflow in the squares."""
+        return math.hypot(abs(self.omega1), abs(self.omega2))
 
 
 @dataclass(frozen=True)

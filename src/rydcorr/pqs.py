@@ -10,15 +10,17 @@ excited-state projector of atom k propagated the remaining duration T - tau
 with the adjoint generator. ``state_chain`` and ``effect_chain`` march the
 two along a whole grid.
 
-An insertion O_j at tau (a count, or an amplitude measurement) between the
-two counts has weight Tr(E O_j(rho_c)): with both chains in the Hermitian
-basis of ``liouville``, the plain dot product of the coordinates of E and
-of O_j(rho_c). ``g3_via_pqs`` and ``g25_via_pqs``
-contract the two chains this way and so re-derive g3 and g25 along a
-numerically independent path (forward state chain + backward effect chain
-instead of nested forward propagation); the test suite and the benchmark
-compare them pointwise against the regression results, and the CLI's
-invariant audit walks the same two chains.
+An insertion O_j at tau (a count, or the theta-quadrature amplitude
+measurement of ``correlators._insertion``) between the two counts has weight
+Tr(E O_j(rho_c)). Both insertions map Hermitian matrices to Hermitian
+matrices, so with both chains in the Hermitian basis of ``liouville`` every
+row is real and the weight is the plain dot product of the coordinates of E
+and of O_j(rho_c). ``g3_via_pqs`` and ``g25_via_pqs`` contract the two
+chains this way and so re-derive g3 and g25 along a numerically independent
+path (forward state chain + backward effect chain instead of nested forward
+propagation); the test suite and the benchmark compare them pointwise
+against the regression results, and the CLI's invariant audit walks the
+same two chains.
 """
 
 from __future__ import annotations
@@ -32,16 +34,12 @@ from .correlators import (
     _check_grid,
     _emission_rate,
     _inserted,
-    _normalized,
     _stationary_norm,
 )
 from .liouville import (
     Liouvillian,
-    _apply,
-    _column_stacked,
     _coordinate_chain,
     _coordinates,
-    _joined,
     grid_steps,
     steady_state,
 )
@@ -56,7 +54,7 @@ __all__ = [
 
 
 def _state_coordinates(lv: Liouvillian, i: int, grid) -> np.ndarray:
-    """``state_chain`` as coordinate rows, shape (N, 1, 81)."""
+    """``state_chain`` as coordinate rows, shape (N, 81)."""
     rho = steady_state(lv)
     jumped = _inserted(rho, _basis_insertion(i, None)) / _emission_rate(rho, i)
     grid = np.asarray(grid, dtype=float)
@@ -64,7 +62,7 @@ def _state_coordinates(lv: Liouvillian, i: int, grid) -> np.ndarray:
 
 
 def _effect_coordinates(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
-    """``effect_chain`` as coordinate rows, shape (N, 1, 81)."""
+    """``effect_chain`` as coordinate rows, shape (N, 81)."""
     if not lv_adj.adjoint:
         raise ValueError("effect_chain needs the adjoint generator")
     grid = np.asarray(grid, dtype=float)
@@ -76,13 +74,13 @@ def _effect_coordinates(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarr
 def state_chain(lv: Liouvillian, i: int, grid) -> np.ndarray:
     """Rows vec(rho_c(tau)) on an ascending grid of tau >= 0: the jump on atom i
     from the steady state over its emission rate (unit trace), marched forward."""
-    return _column_stacked(_state_coordinates(lv, i, grid))
+    return algebra.from_hermitian_basis(_state_coordinates(lv, i, grid))
 
 
 def effect_chain(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
     """Rows vec(E(tau)) on an ascending grid ending by T: the excited-state
     projector of atom k marched back from T with the adjoint generator."""
-    return _column_stacked(_effect_coordinates(lv_adj, k, grid, T))
+    return algebra.from_hermitian_basis(_effect_coordinates(lv_adj, k, grid, T))
 
 
 def _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T) -> CorrelationSeries:
@@ -94,10 +92,9 @@ def _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T) -> CorrelationSerie
         kind, norm = "g3", _stationary_norm(rho, (j, k))
     else:
         kind, norm = "g25", _stationary_norm(rho, (k,), (j, theta))
-    inserted = _apply(_state_coordinates(lv, i, grid), _basis_insertion(j, theta))
-    effects = _effect_coordinates(lv_adj, k, grid, T)[:, 0]
-    raw = _joined(np.einsum("nca,na->nc", inserted, effects), axis=-1)
-    vals = _normalized(raw, norm, theta, f"{kind}_pqs_{i}{j}{k}")
+    inserted = _state_coordinates(lv, i, grid) @ _basis_insertion(j, theta).T
+    effects = _effect_coordinates(lv_adj, k, grid, T)
+    vals = np.einsum("na,na->n", inserted, effects) / norm
     return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
                              theta=theta, T=T)
 

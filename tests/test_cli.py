@@ -196,6 +196,20 @@ def test_exit_codes(tmp_path):
     assert cli.main(["g2", "--tau-max", "1", "--out", "/nonexistent/dir/x.csv"]) == 4
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["steady", "--omega1", "1e200"], 3),
+    (["spectrum", "--omega1", "1e200"], 3),
+    (["trajectories", "--omega1", "1e200"], 2),
+    (["steady", "--omega1", "1e-200", "--omega2", "1e-200"], 0),
+])
+def test_extreme_rabi_frequencies_exit_cleanly(tmp_path, argv, code):
+    """A Rabi frequency whose square overflows ends in a numerical error (the
+    generator's null space is no longer one-dimensional) or in the bound on
+    the step count, not in a traceback; one whose square underflows is still
+    a nonzero drive. (For g2, see the grid bound of test_bad_windows_exit_2.)"""
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == code
+
+
 def refuse_generators(monkeypatch):
     def refuse(p):
         raise AssertionError("a generator was built")
@@ -210,6 +224,7 @@ def refuse_generators(monkeypatch):
     ["g2", "--tau-min", "3", "--tau-max", "1"],
     # grids over MAX_GRID_POINTS, from 1.6M points to an infinite number
     ["g2", "--omega2", "1e4"],
+    ["g2", "--omega2", "1e200"],
     ["g2", "--dtau", "1e-9", "--tau-max", "1"],
     ["ampratio", "--dtau", "1e-9"],
     ["g15", "--dtau", "1e-320"],

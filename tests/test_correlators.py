@@ -16,7 +16,7 @@ from rydcorr import (
     g3,
     steady_state,
 )
-from rydcorr.algebra import vectorize
+from rydcorr.algebra import from_hermitian_basis, superoperator_in_hermitian_basis, vectorize
 from rydcorr.correlators import (
     CorrelationSeries,
     _basis_insertion,
@@ -30,7 +30,7 @@ from rydcorr.errors import (
     TooFewSamplesError,
     ZeroEmissionRateError,
 )
-from rydcorr.liouville import _apply, _column_stacked, _coordinate_chain, _coordinates, grid_steps
+from rydcorr.liouville import _coordinate_chain, _coordinates, grid_steps
 from rydcorr.model import PairOperator, sigma
 
 from conftest import THETA, default_grid, rel_close, series_rel_close
@@ -67,16 +67,32 @@ def test_multitime_rejects_unordered(lv, rho_ss):
 
 
 def test_insertion_superoperators(rho_ss):
-    """On column-stacked X, a count is X -> s12 X s21 and an amplitude
-    insertion X -> X s21, whatever the phase: both exactly, since their
-    entries are 0 and 1."""
+    """On column-stacked X, a count is X -> s12 X s21 and the theta-quadrature
+    amplitude insertion X -> (e^{i theta} X s21 + e^{-i theta} s12 X) / 2.
+    Each output entry is one entry of X times 1, exactly, or times
+    e^{+-i theta} / 2, within the rounding of one complex product."""
     x = rho_ss + 0.3j * np.triu(np.arange(81.0).reshape(9, 9), 1)
     for atom in (1, 2):
-        count = sigma(atom, 1, 2).matrix @ x @ sigma(atom, 2, 1).matrix
-        assert np.array_equal(_insertion(atom, None) @ vectorize(x), vectorize(count))
-        for theta in (0.0, THETA):
-            amplitude = _insertion(atom, theta) @ vectorize(x)
-            assert np.array_equal(amplitude, vectorize(x @ sigma(atom, 2, 1).matrix))
+        s12, s21 = sigma(atom, 1, 2).matrix, sigma(atom, 2, 1).matrix
+        assert np.array_equal(_insertion(atom, None) @ vectorize(x), vectorize(s12 @ x @ s21))
+        for theta in (0.0, THETA, 2.0):
+            amplitude = vectorize(0.5 * (np.exp(1j * theta) * (x @ s21)
+                                         + np.exp(-1j * theta) * (s12 @ x)))
+            got = _insertion(atom, theta) @ vectorize(x)
+            assert np.all(np.abs(got - amplitude) <= 4 * np.finfo(float).eps * np.abs(amplitude))
+
+
+@pytest.mark.parametrize("theta", [None, 0.0, THETA, 2.0, -np.pi])
+@pytest.mark.parametrize("atom", [1, 2])
+def test_basis_insertions_are_real(atom, theta):
+    """Both insertions map Hermitian matrices to Hermitian matrices, so in the
+    Hermitian basis each is a real matrix: float64, and the imaginary part of
+    U^H M U that it drops is rounding, at most 1e-16."""
+    op = _basis_insertion(atom, theta)
+    full = superoperator_in_hermitian_basis(_insertion(atom, theta))
+    assert op.dtype == np.float64
+    assert np.array_equal(op, full.real)
+    assert np.max(np.abs(full.imag)) <= 1e-16
 
 
 # --- g2 -----------------------------------------------------------------------
@@ -137,6 +153,29 @@ def test_g15_degenerate_quadrature(lv, rho_ss):
         g15(lv, 1, 2, theta_bad, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("theta", [THETA, 0.7])
+@pytest.mark.parametrize("atoms", [(1, 1), (1, 2)], ids=["11", "12"])
+def test_g15_matches_pointwise_insertion(lv, rho_ss, atoms, theta):
+    """g15 against the pointwise reference on both sides of tau = 0: the
+    one-sided amplitude event a delay tau after the count, or |tau| before
+    it, projected on the theta quadrature. At 1e-10 relative against a floor
+    of 1e-5 of the series peak."""
+    i, j = atoms
+    grid = np.linspace(-6.0, 6.0, 13)
+    series = g15(lv, i, j, theta, grid)
+    phase = np.exp(1j * theta)
+    norm = steady_population(rho_ss, i) * (phase * np.trace(sigma(j, 2, 1).matrix @ rho_ss)).real
+    floor = 1e-5 * np.max(np.abs(series.values))
+    identity = PairOperator(np.eye(9))
+    for tau, value in zip(grid, series.values):
+        if tau >= 0:
+            events = [count_event(0.0, i), amplitude_event(tau, j)]
+        else:
+            events = [amplitude_event(0.0, j), count_event(-tau, i)]
+        direct = (phase * multitime_correlator(lv, rho_ss, events, identity)).real / norm
+        assert abs(value - direct) <= 1e-10 * max(abs(direct), floor)
+
+
 # --- three-time ----------------------------------------------------------------
 
 def test_g3_antibunching_zeros(lv, params):
@@ -189,21 +228,25 @@ def test_three_time_matches_pointwise_insertion(lv, rho_ss, kind, atoms, T, n):
     assert abs(series.values[n] - direct) <= 1e-10 * max(abs(direct), floor)
 
 
-def stepwise_suffix(lv, rows, grid, t_end):
+def stepwise_suffix(lv, rows, grid, t_end, dtype=np.clongdouble):
     """Oracle for the suffix march: one grid step at a time, each applied to
     every row still short of it (N^2 / 2 row products), then the tail.
 
     It takes and returns coordinate rows, as ``_suffix_propagate`` does, but
     marches them column-stacked with scipy's exponential of ``lv.matrix``,
-    apart from the real kernel."""
+    apart from the real kernel, and accumulates the march in ``dtype``:
+    extended precision by default, so that its own rounding over N^2 / 2
+    products does not swamp the comparison (in complex128, g25 at N = 638
+    differs from the blocked march by 1.1x criterion 06's rule, nearly all
+    of it this march's rounding: see the next two tests)."""
     props = {}
 
     def prop(dt):
         if dt not in props:
-            props[dt] = scipy.linalg.expm(lv.matrix * dt).T
+            props[dt] = scipy.linalg.expm(lv.matrix * dt).T.astype(dtype)
         return props[dt]
 
-    w = _column_stacked(rows)
+    w = from_hermitian_basis(rows).astype(dtype)
     for m, dt in enumerate(grid_steps(grid), start=1):
         w[:m] = w[:m] @ prop(dt)
     tail = t_end - grid[-1]
@@ -221,8 +264,10 @@ def test_blocked_suffix_march_matches_stepwise(lv, monkeypatch, kind, n):
 
     Not tighter: at the 1e-5-of-peak floor, 1e-10 relative would be 1e-15 of
     the peak, below the rounding of the step-by-step march itself, which on
-    the 638-point grid errs 9x as much as the blocked one (next test). The
-    two differ by 0.27x the rule there, for g25."""
+    the 638-point grid errs 14x as much as the blocked one in complex128
+    (next test) and 3x as much even in extended precision, with its
+    propagators rounded to complex128. The two differ by 0.42x the rule
+    there, for g25."""
     T = 20.0
     grid = np.linspace(0.0, T, n)
 
@@ -251,23 +296,24 @@ def expm_extended(a):
 
 
 def test_blocked_suffix_march_error(lv, rho_ss):
-    """g25 (1,1,2)'s rows after the amplitude insertion, marched on to T = 20,
+    """g25 (1,1,2)'s rows after the quadrature insertion, marched on to T = 20,
     against the same march in extended precision (exact exp(L h), powers by
     squaring in 80 bits). The blocked march errs by at most 5e-14 of the
-    largest entry (measured 4.1e-15 at N = 81 and 6.4e-15 at N = 638 in the
-    real basis; 2.1e-14 and 9.9e-15 with the complex kernel), and on fig6's
-    638-point grid by at most half as much as the step-by-step march, whose
-    rounding compounds over 637 products (measured 0.071x). A jump formed
-    as P(h)^B by squaring measured 1.34e-13 there, 1.5x the step-by-step
-    error. Both marches take and return coordinate rows."""
+    largest entry (measured 3.9e-15 at N = 81 and 6.5e-15 at N = 638 on the
+    real rows; 4.1e-15 and 6.4e-15 with the one-sided insertion's stacked
+    real and imaginary rows, 2.1e-14 and 9.9e-15 with the complex kernel),
+    and on fig6's 638-point grid by at most half as much as the step-by-step
+    march in complex128, whose rounding compounds over 637 products
+    (measured 0.072x). A jump formed as P(h)^B by squaring measured 1.34e-13
+    there, 1.5x the step-by-step error. Both marches take and return
+    coordinate rows."""
     T = 20.0
     errors = {}
     for n in (81, 638):
         grid = np.linspace(0.0, T, n)
-        rows = _apply(_coordinate_chain(lv, _inserted(rho_ss, _basis_insertion(1, None)),
-                                        np.r_[0.0, grid_steps(grid)]),
-                      _basis_insertion(1, THETA))
-        exact = _column_stacked(rows).astype(np.clongdouble)
+        rows = _coordinate_chain(lv, _inserted(rho_ss, _basis_insertion(1, None)),
+                                 np.r_[0.0, grid_steps(grid)]) @ _basis_insertion(1, THETA).T
+        exact = from_hermitian_basis(rows).astype(np.clongdouble)
         power = expm_extended(lv.matrix * grid_steps(grid)[0]).T
         steps = np.arange(n - 1, -1, -1)
         while steps.any():
@@ -276,8 +322,9 @@ def test_blocked_suffix_march_error(lv, rho_ss):
             steps //= 2
             power = power @ power
         scale = np.abs(exact).max()
-        errors[n] = [float(np.abs(_column_stacked(march(lv, rows, grid, T)) - exact).max() / scale)
-                     for march in (_suffix_propagate, stepwise_suffix)]
+        marched = (_suffix_propagate(lv, rows, grid, T),
+                   stepwise_suffix(lv, rows, grid, T, dtype=complex))
+        errors[n] = [float(np.abs(from_hermitian_basis(w) - exact).max() / scale) for w in marched]
         assert errors[n][0] <= 5e-14
     assert errors[638][0] <= 0.5 * errors[638][1]
 

@@ -24,6 +24,16 @@ def test_params_rabi():
     assert p.rabi == pytest.approx(np.sqrt(25.04))
 
 
+def test_params_rabi_without_overflow_or_underflow():
+    """|omega|^2 overflows at 1e200 and underflows to 0 at 1e-200; the combined
+    Rabi frequency does neither, and a drive that weak still counts as one."""
+    assert ModelParams(omega1=1e200, omega2=0.0).rabi == 1e200
+    assert ModelParams(omega1=0.0, omega2=1e200j).rabi == 1e200
+    assert ModelParams(omega1=3e-200, omega2=4e-200j).rabi == pytest.approx(5e-200, rel=1e-15)
+    with pytest.raises(ValueError, match="nonzero"):
+        ModelParams(omega1=0.0, omega2=0j)
+
+
 def test_sigma_trace_counts_partner_identity():
     assert np.trace(sigma(1, 2, 2).matrix) == pytest.approx(3.0)
 
