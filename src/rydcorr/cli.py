@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, correlators
-from .correlators import CorrelationSeries
+from .correlators import CorrelationSeries, _count_chain
 from .errors import (
     BadValueError,
     ConfigError,
@@ -57,14 +57,14 @@ from .liouville import (
     STATIONARY_EIG_TOL,
     TRACE_TOL,
     Liouvillian,
-    build_adjoint_liouvillian,
     build_liouvillian,
+    derive_adjoint,
     spectrum,
     state_residuals,
     steady_state,
 )
 from .model import ModelParams, sigma
-from .pqs import effect_chain, state_chain
+from .pqs import effect_chain
 from .trajectories import MAX_TRAJECTORIES, STREAM, mcwf_run, write_clicks_csv
 
 # manifest keys (or key prefixes) whose values can change between identical runs
@@ -308,7 +308,7 @@ def _bool_word(ok: bool) -> str:
 
 
 class InvariantLog:
-    """Worst-case state/effect residuals seen along a run, for the manifest."""
+    """Worst-case generator and state/effect residuals seen along a run, for the manifest."""
 
     def __init__(self):
         self.max_trace_dev = 0.0
@@ -316,22 +316,21 @@ class InvariantLog:
         self.min_eig = 0.0
         self.checked = 0
 
-    def add_states(self, ms):
-        """Density matrices: one 9x9 matrix or a stack of them."""
-        r = self._add(ms)
-        self.max_trace_dev = float(np.max(r["trace_dev"], initial=self.max_trace_dev))
+    def add_generator(self, lv: Liouvillian):
+        """The generator's Hermiticity residue: every state and effect a run
+        checks comes from real coordinates, and so is exactly Hermitian."""
+        self.max_herm = max(self.max_herm, lv.hermitian_residue)
 
-    def add_effects(self, ms):
-        """Effect matrices, which have no trace condition: one or a stack."""
-        self._add(ms)
-
-    def _add(self, ms):
+    def add_states(self, ms, effects=()):
+        """Density matrices, whose trace must be one, and effect matrices,
+        which have no trace condition: each one Hermitian 9x9 matrix or a
+        stack, all in one eigenvalue call."""
         ms = np.reshape(ms, (-1, DIM_PAIR, DIM_PAIR))
-        r = state_residuals(ms)
-        self.max_herm = float(np.max(r["hermiticity"], initial=self.max_herm))
+        effects = np.reshape(effects, (-1, DIM_PAIR, DIM_PAIR))
+        r = state_residuals(np.concatenate([ms, effects]))
+        self.max_trace_dev = float(np.max(r["trace_dev"][:len(ms)], initial=self.max_trace_dev))
         self.min_eig = float(np.min(r["min_eig"], initial=self.min_eig))
-        self.checked += len(ms)
-        return r
+        self.checked += len(ms) + len(effects)
 
     @property
     def ok(self) -> bool:
@@ -356,15 +355,25 @@ def _square(rows: np.ndarray) -> np.ndarray:
 def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
                             lv_adj: Liouvillian | None = None, k: int | None = None,
                             T: float | None = None) -> None:
-    """Re-walk a recipe's conditional states (and effects) with the PQS march,
-    recording the density/effect-matrix residuals of each whole chain at once."""
-    log.add_states(steady_state(lv))
-    states = _square(state_chain(lv, i, grid[grid >= 0]))
-    states /= np.maximum(np.trace(states, axis1=1, axis2=2).real, 1e-300)[:, None, None]
-    log.add_states(states)
+    """Check a recipe's conditional path: the steady state, the state after
+    the count on atom i at each grid point >= 0 and, for a three-time
+    recipe, the effect matrix before the count on atom k at each grid point.
+
+    The states are the correlator's own first chain over the emission rate,
+    read back from the generator (``correlators._count_chain``; marched only
+    if no correlator left it there), with their traces as marched. The
+    effects are the past-quantum-state route's backward chain. All of them
+    go through one eigenvalue call.
+    """
+    log.add_generator(lv)
+    rows = _count_chain(lv, i, grid[grid >= 0])
+    states = np.concatenate([steady_state(lv)[None], _square(algebra.from_hermitian_basis(rows))])
+    effects = ()
     if lv_adj is not None and k is not None and T is not None:
-        log.add_effects(sigma(k, 2, 2).matrix)
-        log.add_effects(_square(effect_chain(lv_adj, k, grid, T)))
+        log.add_generator(lv_adj)
+        effects = np.concatenate([sigma(k, 2, 2).matrix[None],
+                                  _square(effect_chain(lv_adj, k, grid, T))])
+    log.add_states(states, effects)
 
 
 def _grid(lo, hi, dt):
@@ -408,7 +417,7 @@ def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
             out.extend((f"{tag}_{name}", s, panel) for name, s in zip(("max", "min", "mean"), series))
             _audit_conditional_path(lv, i, audit_grid, log)
             continue
-        lv_adj = build_adjoint_liouvillian(panel) if recipe.kind in ("g3", "g25") else None
+        lv_adj = derive_adjoint(lv) if recipe.kind in ("g3", "g25") else None
         for T, grid in zip(recipe.Ts, grids):
             # looked up at call time, so a wrapper installed on the module is seen
             series = getattr(correlators, recipe.kind)(lv, *recipe.atoms, *amplitude, grid,
@@ -460,6 +469,7 @@ def _run_steady(cfg: argparse.Namespace, out: Path):
     lv = build_liouvillian(cfg.params)
     rho = steady_state(lv)
     log = InvariantLog()
+    log.add_generator(lv)
     log.add_states(rho)
     rows = (f"{r},{c},{_fmt(rho[r, c].real)},{_fmt(rho[r, c].imag)}"
             for r in range(DIM_PAIR) for c in range(DIM_PAIR))
@@ -477,6 +487,7 @@ def _run_spectrum(cfg: argparse.Namespace, out: Path):
     spec = spectrum(lv)
     log = InvariantLog()
     rho = steady_state(lv)
+    log.add_generator(lv)
     log.add_states(rho)
     rows = (f"{n},{_fmt(w.real)},{_fmt(w.imag)}" for n, w in enumerate(spec.eigenvalues))
     _write_lines(out, [f"# kind=spectrum, params={_params_echo(cfg.params)}", "index,re,im", *rows])
@@ -512,6 +523,7 @@ def _run_trajectories(cfg: argparse.Namespace, out: Path):
     lv = build_liouvillian(p)
     rho = steady_state(lv)
     log = InvariantLog()
+    log.add_generator(lv)
     log.add_states(rho)
     n_clicks = sum(len(r) for r in batch.records)
     entries = [

@@ -51,6 +51,7 @@ from .liouville import (
     Liouvillian,
     _coordinate_chain,
     _coordinates,
+    _kept_chain,
     grid_steps,
     steady_state,
 )
@@ -244,6 +245,26 @@ def _read(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     return rows @ _coordinates(algebra.vectorize(probe))
 
 
+def _chain_steps(grid: np.ndarray) -> np.ndarray:
+    """The durations of a chain from delay 0 along ``grid``: to its first point,
+    then ``grid_steps``."""
+    return np.r_[grid[:1], grid_steps(grid)]
+
+
+def _count_chain(lv: Liouvillian, i: int, grid: np.ndarray) -> np.ndarray:
+    """Coordinate rows of the conditional state after a count on atom i, at
+    each point of an ascending grid of delays >= 0: the count applied to the
+    steady state over its emission rate (unit trace), marched along the grid.
+
+    These are the first-chain rows of every correlator that starts with that
+    count, over the rate; the chain the last of them marched is read back
+    from the generator, not marched again.
+    """
+    rho = steady_state(lv)
+    rows = _kept_chain(lv, _inserted(rho, _basis_insertion(i, None)), _chain_steps(grid))
+    return rows / _emission_rate(rho, i)
+
+
 def _regression(lv: Liouvillian, rho: np.ndarray, first: np.ndarray, grid: np.ndarray,
                 probe: np.ndarray, mid: np.ndarray | None = None,
                 T: float | None = None) -> np.ndarray:
@@ -252,9 +273,10 @@ def _regression(lv: Liouvillian, rho: np.ndarray, first: np.ndarray, grid: np.nd
     The basis insertion ``first`` acts on rho at delay 0 and the result is
     propagated to each grid point. Without ``mid`` the probe is read there;
     with it, the basis insertion ``mid`` acts on every grid point at once and
-    each row is propagated on to T before the probe is read.
+    each row is propagated on to T before the probe is read. The first chain
+    stays on the generator (``_kept_chain``), where the run audit reads it.
     """
-    rows = _coordinate_chain(lv, _inserted(rho, first), np.r_[grid[:1], grid_steps(grid)])
+    rows = _kept_chain(lv, _inserted(rho, first), _chain_steps(grid))
     if mid is not None:
         rows = _suffix_propagate(lv, rows @ mid.T, grid, T)
     return _read(rows, probe)
@@ -284,15 +306,16 @@ def g15(lv: Liouvillian, i: int, j: int, theta: float, tau_grid) -> CorrelationS
 
     vals = np.empty(grid.size, dtype=float)
     pos = grid >= 0
-    if np.any(pos):
-        raw = _regression(lv, rho, _basis_insertion(i, None), grid[pos], _quadrature(j, theta))
-        vals[pos] = raw / norm
     neg = ~pos
     if np.any(neg):
         # amplitude first: evolve the quadrature-inserted rho_ss forward by |tau|
         raw = _regression(lv, rho, _basis_insertion(j, theta), -grid[neg][::-1],
                           sigma(i, 2, 2).matrix)
         vals[neg] = raw[::-1] / norm
+    if np.any(pos):
+        # last, so that the count's chain is the one left on the generator
+        raw = _regression(lv, rho, _basis_insertion(i, None), grid[pos], _quadrature(j, theta))
+        vals[pos] = raw / norm
     return CorrelationSeries(kind="g15", atoms=(i, j), tau_grid=grid, values=vals, theta=theta)
 
 

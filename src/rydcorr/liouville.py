@@ -10,7 +10,8 @@ the backward propagation of effect matrices,
 
     L+ E = +i [H, E] + sum_c ( C_c^+ E C_c - {C_c^+ C_c, E} / 2 ),
 
-is the conjugate transpose of L as a matrix, and is built as such.
+is the conjugate transpose of L as a matrix, and is derived as such from the
+forward generator (``derive_adjoint``).
 
 Both map Hermitian matrices to Hermitian matrices, so in the orthonormal
 Hermitian basis of ``algebra`` (E_kk, (E_kl + E_lk)/sqrt2, i(E_kl - E_lk)/sqrt2)
@@ -37,6 +38,7 @@ functional.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -57,6 +59,7 @@ __all__ = [
     "LiouvillianSpectrum",
     "build_liouvillian",
     "build_adjoint_liouvillian",
+    "derive_adjoint",
     "steady_state",
     "propagate",
     "grid_steps",
@@ -67,7 +70,10 @@ __all__ = [
 DIM_SUPER = DIM_PAIR * DIM_PAIR
 
 STEADY_RESIDUAL_TOL = 1e-10
-STEADY_NULLSPACE_RTOL = 1e-10
+# least ratio of the second-smallest singular value of L to the smallest for a
+# one-dimensional null space (the second must also clear the rounding of L);
+# the reference point measures 3e16, the stiff v12 = 1e10 1.8e5
+STEADY_GAP = 1e3
 POSITIVITY_FLOOR = -1e-8
 # imaginary residue of U^H L U, relative to ||L||, above which L is refused as
 # not Hermiticity-preserving (the built generators measure 0)
@@ -93,7 +99,9 @@ class Liouvillian:
     the largest imaginary entry of U^H L U relative to ||L||, the measure of
     how far L is from preserving Hermiticity. Both are derived from
     ``matrix``. The adjoint's real matrix is computed from L = matrix^H and
-    transposed, so it is exactly the forward generator's transpose.
+    transposed, so it is exactly the forward generator's transpose. The
+    generator also keeps, in ``_cache``, its steady state and the last chain
+    that ``_kept_chain`` marched on it.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -112,8 +120,10 @@ class Liouvillian:
         forward = np.ascontiguousarray(m.conj().T) if self.adjoint else m
         basis = algebra.superoperator_in_hermitian_basis(forward)
         residue = float(np.max(np.abs(basis.imag)))
-        norm = float(np.linalg.norm(m))
-        residue = residue / norm if norm > 0 else residue
+        # scaled by the largest entry first: ||L|| overflows at entries of 1e154
+        scale = float(np.max(np.abs(m)))
+        if scale > 0:
+            residue /= scale * float(np.linalg.norm(m / scale))
         if residue > HERMITIAN_BASIS_RTOL:
             raise ValueError(f"generator does not preserve Hermiticity: U^H L U has "
                              f"imaginary residue {residue:.3e} of ||L||")
@@ -157,7 +167,26 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
 def build_adjoint_liouvillian(p: ModelParams) -> Liouvillian:
     """Adjoint generator (backward effect-matrix evolution): L^H as a matrix,
     and exactly the transpose of the forward generator in the Hermitian basis."""
-    return Liouvillian(build_liouvillian(p).matrix.conj().T, params=p, adjoint=True)
+    return derive_adjoint(build_liouvillian(p))
+
+
+def derive_adjoint(lv: Liouvillian) -> Liouvillian:
+    """The adjoint of a forward generator, derived from it without a second
+    build or basis change: ``matrix`` is lv.matrix^H and ``real`` lv.real^T,
+    the same bits ``Liouvillian(lv.matrix^H, adjoint=True)`` computes, since
+    it conjugate-transposes its matrix back to lv.matrix before the basis
+    change. It has its own propagator cache, so the past-quantum-state route
+    still takes the adjoint's own exponentials."""
+    if lv.adjoint:
+        raise ValueError("derive_adjoint needs the forward generator")
+    adj = copy.copy(lv)  # params and hermitian_residue carry over
+    for name, value in (("matrix", lv.matrix.conj().T), ("real", lv.real.T)):
+        value = np.ascontiguousarray(value)
+        value.flags.writeable = False
+        object.__setattr__(adj, name, value)
+    for name, value in (("adjoint", True), ("_propagators", OrderedDict()), ("_cache", {})):
+        object.__setattr__(adj, name, value)
+    return adj
 
 
 # --- coordinate rows ---------------------------------------------------------
@@ -185,6 +214,22 @@ def _coordinate_chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
             v = v @ prop
         out[n] = v
     return out
+
+
+def _kept_chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
+    """``_coordinate_chain`` of x0 through ``steps``, kept on the generator.
+
+    The generator keeps one chain, the last marched here, keyed by its start
+    row and its steps; a call with the same pair reads it back instead of
+    marching again. The rows are read-only.
+    """
+    kept = lv._cache.get("chain")
+    if kept is not None and np.array_equal(kept[0], x0) and np.array_equal(kept[1], steps):
+        return kept[2]
+    rows = _coordinate_chain(lv, x0, steps)
+    rows.flags.writeable = False
+    lv._cache["chain"] = (np.array(x0), np.array(steps), rows)
+    return rows
 
 
 # --- generator use ----------------------------------------------------------
@@ -265,9 +310,13 @@ def steady_state(lv: Liouvillian) -> np.ndarray:
 
     Solved in the Hermitian basis from the bordered system (first row of L
     replaced by the trace functional) with one step of iterative refinement
-    on a residual summed in double-double; the null-space dimension is verified
-    from the singular values first. The adjoint generator has no stationary
-    state, and is refused.
+    on a residual summed in double-double. The null space must be
+    one-dimensional first: the second-smallest singular value must stand
+    above STEADY_GAP times the smallest and above the rounding level of L,
+    81 eps ||L||_2 (numpy's rank tolerance). So at v12 = 1e7, where
+    sigma_max is 1e7, the 2e-4 mode stays out of the null space. A
+    non-finite norm or residual is refused. The adjoint generator has no
+    stationary state, and is refused.
     """
     if lv.adjoint:
         raise ValueError("steady_state needs the forward generator")
@@ -277,7 +326,11 @@ def steady_state(lv: Liouvillian) -> np.ndarray:
 
     mat = lv.real
     svals = np.linalg.svd(mat, compute_uv=False)
-    null_dim = int(np.sum(svals <= STEADY_NULLSPACE_RTOL * max(svals[0], 1.0)))
+    if not np.isfinite(svals[0]):
+        raise DegenerateSteadyStateError(f"generator norm is {svals[0]}")
+    # the singular values within STEADY_GAP of the smallest or the rounding of L
+    floor = max(STEADY_GAP * svals[-1], DIM_SUPER * np.finfo(float).eps * svals[0])
+    null_dim = int(np.sum(svals <= floor))
     if null_dim != 1:
         raise DegenerateSteadyStateError(
             f"generator null space has dimension {null_dim}, expected 1"
@@ -296,7 +349,7 @@ def steady_state(lv: Liouvillian) -> np.ndarray:
     x /= trace_row @ x
 
     residual = np.linalg.norm(mat @ x)
-    if residual > STEADY_RESIDUAL_TOL:
+    if not residual <= STEADY_RESIDUAL_TOL:  # NaN included
         raise DegenerateSteadyStateError(
             f"stationary solve residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.1e}"
         )
@@ -383,11 +436,9 @@ def spectrum(lv: Liouvillian) -> LiouvillianSpectrum:
 
 
 def state_residuals(m: np.ndarray) -> dict:
-    """Trace, Hermiticity and positivity residuals of a 9x9 matrix, or of each in a stack."""
+    """Trace deviation |Tr m - 1| and smallest eigenvalue of a Hermitian 9x9
+    matrix, or of each in a stack (``eigvalsh`` reads the lower triangle)."""
     m = np.asarray(m, dtype=complex)
-    dagger = np.swapaxes(m, -1, -2).conj()
-    herm = np.max(np.abs(m - dagger), axis=(-2, -1))
     dev = np.trace(m, axis1=-2, axis2=-1) - 1.0
     trace_dev = np.hypot(dev.real, dev.imag)  # rounds as abs() of one complex does
-    min_eig = np.linalg.eigvalsh(0.5 * (m + dagger)).min(axis=-1)
-    return {"trace_dev": trace_dev, "hermiticity": herm, "min_eig": min_eig}
+    return {"trace_dev": trace_dev, "min_eig": np.linalg.eigvalsh(m).min(axis=-1)}

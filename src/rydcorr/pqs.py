@@ -19,8 +19,8 @@ and of O_j(rho_c). ``g3_via_pqs`` and ``g25_via_pqs`` contract the two
 chains this way and so re-derive g3 and g25 along a numerically independent
 path (forward state chain + backward effect chain instead of nested forward
 propagation); the test suite and the benchmark compare them pointwise
-against the regression results, and the CLI's invariant audit walks the
-same two chains.
+against the regression results, and the CLI's invariant audit checks the
+effect chain.
 """
 
 from __future__ import annotations

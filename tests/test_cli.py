@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydcorr import cli, trajectories
+from rydcorr import cli, correlators, liouville, pqs, trajectories
 from rydcorr.correlators import CorrelationSeries
 from rydcorr.errors import (
     BadValueError,
@@ -184,6 +184,54 @@ def test_fig8_series_are_ordered(tmp_path):
     assert np.array_equal(hi[:, 0], lo[:, 0]) and np.array_equal(hi[:, 0], mean[:, 0])
 
 
+@pytest.mark.parametrize("figure", ["fig2", "fig3a", "fig3b", "fig4", "fig6"])
+def test_audit_reads_the_chain_the_correlator_marched(monkeypatch, figure):
+    """A figure panel marches its first chain once: with the audit, a recipe
+    runs as many forward chains as without it (fig4: three, where an audit
+    that marched its own ran six); three-time panels add one adjoint chain."""
+    chains = []
+    chain = liouville._coordinate_chain
+
+    def counted(lv, x0, steps):
+        chains.append("adjoint" if lv.adjoint else "forward")
+        return chain(lv, x0, steps)
+
+    for module in (liouville, correlators, pqs):
+        monkeypatch.setattr(module, "_coordinate_chain", counted)
+    recipe, cfg = cli.RECIPES[figure], cli.parse_config(["figure", figure])
+    log = cli.InvariantLog()
+    panels = cli._run_recipe(recipe, cfg, log)
+    assert log.ok
+    audited = list(chains)
+    chains.clear()
+    monkeypatch.setattr(cli, "_audit_conditional_path", lambda *args: None)
+    cli._run_recipe(recipe, cfg, cli.InvariantLog())
+    assert audited.count("forward") == chains.count("forward")
+    three_time = recipe.kind in ("g3", "g25")
+    assert audited.count("adjoint") == (len(panels) if three_time else 0)
+    if figure == "fig4":
+        assert audited.count("forward") == 3
+
+
+@pytest.mark.parametrize("drift", [1e-8, -1e-8])
+def test_audit_fails_states_whose_trace_drifts(params, drift):
+    """The audit reads each state's trace as marched, with no per-state
+    renormalisation to hide a drift: rows whose trace drifts to 1 +- 1e-8
+    along the grid fail it, and the correlator's own rows pass."""
+    grid = np.linspace(0.0, 5.0, 201)
+    lv = cli.build_liouvillian(params)
+    correlators.g2(lv, 1, 2, grid)
+    x0, steps, rows = lv._cache["chain"]
+    drifting = rows * (1.0 + drift * np.linspace(0.0, 1.0, grid.size))[:, None]
+    lv._cache["chain"] = (x0, steps, drifting)
+    log = cli.InvariantLog()
+    cli._audit_conditional_path(lv, 1, grid, log)
+    assert log.max_trace_dev == pytest.approx(1e-8, rel=1e-6) and not log.ok
+    clean = cli.InvariantLog()
+    cli._audit_conditional_path(cli.build_liouvillian(params), 1, grid, clean)
+    assert clean.ok and 0 < clean.max_trace_dev < 1e-12
+
+
 def test_exit_codes(tmp_path):
     assert cli.main([]) == 2
     assert cli.main(["g2", "--gamma2", "-1"]) == 2
@@ -210,11 +258,23 @@ def test_extreme_rabi_frequencies_exit_cleanly(tmp_path, argv, code):
     assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == code
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["g2", "--v12", "1e7", "--tau-max", "1"], 0),
+    (["g2", "--v12", "1e8", "--tau-max", "1"], 0),
+    (["steady", "--omega2", "0", "--gamma2", "0", "--gammaph", "0"], 3),
+])
+def test_stiff_generator_runs_and_degenerate_one_exits_3(tmp_path, argv, code):
+    """A blockade of v12 = 1e7 or 1e8 is stiff but well posed: its steady state
+    is unique. Without omega2, gamma2 and gamma_ph each atom has a second
+    stationary state, and the pair four."""
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == code
+
+
 def refuse_generators(monkeypatch):
     def refuse(p):
         raise AssertionError("a generator was built")
     monkeypatch.setattr(cli, "build_liouvillian", refuse)
-    monkeypatch.setattr(cli, "build_adjoint_liouvillian", refuse)
+    monkeypatch.setattr(cli, "derive_adjoint", refuse)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +19,13 @@ from rydcorr.cli import InvariantLog
 from rydcorr.errors import DegenerateSteadyStateError, NegativeDurationError, NotPositiveError
 from rydcorr.liouville import (
     PROPAGATOR_CACHE_SIZE,
+    STEADY_RESIDUAL_TOL,
     Liouvillian,
     _column_sums,
+    _coordinates,
+    _kept_chain,
     _two_product,
+    derive_adjoint,
     grid_steps,
     state_residuals,
 )
@@ -142,24 +147,27 @@ def test_dephasing_form_equivalence(params):
 def test_steady_state_contract(lv, rho_ss):
     assert np.trace(rho_ss).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(lv.matrix @ rho_ss.flatten(order="F")) < 1e-10
+    # from real coordinates, so exactly Hermitian
+    assert np.array_equal(rho_ss, rho_ss.conj().T)
     r = state_residuals(rho_ss)
-    assert r["hermiticity"] < 1e-12
+    assert r["trace_dev"] < 1e-12
     assert r["min_eig"] > -1e-9
 
 
 def test_state_residuals_on_a_stack(lv_adj, rho_ss):
     """A stack gives, entry by entry, the residuals of each matrix alone: states
-    (unit trace) and effects (no trace condition), one of them not Hermitian."""
+    (unit trace) and effects (no trace condition)."""
     effect = propagate(lv_adj, sigma(2, 2, 2).matrix, 3.0)
-    lopsided = random_density() + 1e-6j * np.triu(np.ones((9, 9)), 1)
-    stack = np.stack([rho_ss, random_density(), lopsided, effect, sigma(1, 2, 2).matrix])
+    stack = np.stack([rho_ss, random_density(), 1.5 * random_density(), effect,
+                      sigma(1, 2, 2).matrix])
     batched = state_residuals(stack)
-    for key in ("trace_dev", "hermiticity", "min_eig"):
+    for key in ("trace_dev", "min_eig"):
         assert batched[key].shape == (len(stack),)
         for n, m in enumerate(stack):
             assert batched[key][n] == state_residuals(m)[key]
-    assert batched["hermiticity"][2] > 1e-7
+    assert batched["trace_dev"][2] == pytest.approx(0.5)
     assert batched["trace_dev"][3] > 0.1
+    assert batched["min_eig"][4] == 0.0
 
 
 def test_steady_state_dark_limit():
@@ -255,6 +263,31 @@ def test_undriven_undamped_rydberg_level_raises_degenerate_steady_state():
         steady_state(lv0)
 
 
+@pytest.mark.parametrize("v12", [1e7, 1e8, 1e10])
+def test_stiff_interaction_has_a_steady_state(v12):
+    """At v12 >= 1e7 the second-smallest singular value of L, 2.1e-4, is below
+    1e-10 sigma_max but 1e5 or more above the smallest (the null vector) and
+    above the rounding of L: the steady state is unique, and solved to the
+    residual bound."""
+    lv = build_liouvillian(ModelParams(v12=v12))
+    rho = steady_state(lv)
+    assert np.linalg.norm(lv.real @ _coordinates(vectorize(rho))) <= STEADY_RESIDUAL_TOL
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert rho[8, 8].real < 1e-18  # blockade
+
+
+@pytest.mark.parametrize("spoiled", ["svd", "norm"])
+def test_non_finite_singular_values_or_residual_are_refused(params, monkeypatch, spoiled):
+    """A NaN residual, which `>` would let pass, and a non-finite norm of L are refused."""
+    lv = build_liouvillian(params)
+    if spoiled == "svd":
+        monkeypatch.setattr(np.linalg, "svd", lambda m, compute_uv: np.full(81, np.inf))
+    else:
+        monkeypatch.setattr(np.linalg, "norm", lambda v: np.nan)
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(lv)
+
+
 def test_negative_eigenvalue_raises_not_positive(params, monkeypatch):
     """The run audit fails a unit-trace Hermitian matrix with eigenvalue -0.5;
     steady_state refuses a solution whose smallest eigenvalue (corrupted here)
@@ -299,6 +332,53 @@ def test_adjoint_real_matrix_is_the_exact_transpose(lv, lv_adj):
     assert np.array_equal(lv_adj.real, lv.real.T)
     assert lv.real.dtype == lv_adj.real.dtype == np.float64
     assert not lv.real.flags.writeable and not lv_adj.real.flags.writeable
+
+
+def test_derived_adjoint_is_the_built_one_bit_for_bit(lv):
+    """derive_adjoint gives the bits a build of the adjoint from lv.matrix^H
+    gives, with caches of its own; it refuses an adjoint."""
+    built = Liouvillian(lv.matrix.conj().T, params=lv.params, adjoint=True)
+    adj = derive_adjoint(lv)
+    assert adj.adjoint and adj.params is lv.params
+    for a, b in ((adj.matrix, built.matrix), (adj.real, built.real)):
+        assert np.array_equal(a, b) and a.flags.c_contiguous and not a.flags.writeable
+    assert adj.hermitian_residue == built.hermitian_residue
+    adj.propagator(0.5)
+    assert 0.5 in adj._propagators and adj._propagators is not lv._propagators
+    assert adj._cache is not lv._cache
+    with pytest.raises(ValueError, match="forward"):
+        derive_adjoint(adj)
+
+
+def test_hermitian_residue_is_scale_safe(lv):
+    """The residue is relative to ||L||, taken without overflow: a generator
+    scaled by 2^600, whose norm squared overflows, keeps its residue, and one
+    built at omega1 = 1e160 gives a finite residue without a warning."""
+    leak = 1e-13 * np.linalg.norm(lv.matrix) * 1j * np.eye(81)  # X -> i eps X
+    small = Liouvillian(lv.matrix + leak, params=lv.params)
+    assert small.hermitian_residue > 0
+    big = Liouvillian((lv.matrix + leak) * 2.0 ** 600, params=lv.params)
+    assert big.hermitian_residue == small.hermitian_residue
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = build_liouvillian(ModelParams(omega1=1e160))
+    assert np.isfinite(huge.hermitian_residue) and huge.hermitian_residue <= 1e-12
+
+
+def test_kept_chain_is_one_entry_keyed_by_start_and_steps(params, monkeypatch):
+    """A second call with the same start row and steps reads the kept rows
+    back; other steps march, and replace them."""
+    lv = build_liouvillian(params)
+    x0 = _coordinates(vectorize(steady_state(lv)))
+    steps = np.full(5, 0.25)
+    first = _kept_chain(lv, x0, steps)
+    assert not first.flags.writeable
+    monkeypatch.setattr("rydcorr.liouville._coordinate_chain",
+                        lambda *a: pytest.fail("marched a kept chain"))
+    assert _kept_chain(lv, x0.copy(), steps.copy()) is first
+    monkeypatch.undo()
+    other = _kept_chain(lv, x0, np.full(5, 0.5))
+    assert other is not first and lv._cache["chain"][2] is other
 
 
 def test_generator_that_does_not_preserve_hermiticity_is_refused(lv):
