@@ -115,7 +115,9 @@ def eig(m):
     """Eigendecomposition sorted by descending real part.
 
     Verifies the residual ``||M v - w v|| <= 1e-8 ||M|| ||v||`` for every pair
-    and flags a near-defective eigenvector matrix (condition number > 1e12).
+    on M / max|M|, so that no norm overflows to an inf bound that passes
+    anything, and flags a near-defective eigenvector matrix (condition
+    number > 1e12).
     """
     a = _as_matrix(m, keep_real=True)
     _require_square(a)
@@ -129,9 +131,10 @@ def eig(m):
         raise NearDefectiveError(
             f"eigenvector matrix condition number {cond:.3e} exceeds {EIG_CONDITION_LIMIT:.1e}"
         )
-    norm_a = np.linalg.norm(a)
-    residual = np.linalg.norm(a @ vr - vr * w[np.newaxis, :], axis=0)
-    bound = EIG_RESIDUAL_RTOL * max(norm_a, 1e-300) * np.linalg.norm(vr, axis=0)
+    scale = float(np.max(np.abs(a))) or 1.0
+    unit = a / scale
+    residual = np.linalg.norm(unit @ vr - vr * (w / scale)[np.newaxis, :], axis=0)
+    bound = EIG_RESIDUAL_RTOL * max(np.linalg.norm(unit), 1e-300) * np.linalg.norm(vr, axis=0)
     if np.any(residual > bound):
         worst = float(np.max(residual / np.maximum(bound, 1e-300)))
         raise AccuracyNotMetError(f"eigenpair residual exceeds contract by factor {worst:.3e}")

@@ -25,7 +25,8 @@ expectations, so uncorrelated signals give 1):
   the amplitude measured after (tau > 0) and before (tau < 0) the count.
 * ``g3``  -- counts at t and t+tau, count at t+T.
 * ``g25`` -- count at t, amplitude at t+tau, count at t+T.
-* ``amplitude_ratio`` -- g25 normalized by g2(T), summarized around tau = T/2.
+* ``amplitude_ratio`` -- g25 normalized by g2(T), summarized around tau = T/2;
+  its windows are read by the past-quantum-state contraction, not the kernel.
 
 ``dominant_frequency`` estimates the leading angular frequency of a series
 from its periodogram (used to verify the oscillation-frequency structure).
@@ -52,6 +53,7 @@ from .liouville import (
     _coordinate_chain,
     _coordinates,
     _kept_chain,
+    derive_adjoint,
     grid_steps,
     steady_state,
 )
@@ -354,13 +356,13 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
     reduced to its max, min and mean. Returns three series (max, min, mean)
     over the T grid.
 
-    On a uniform T grid whose windows are not clipped, the windows are
-    marched across T instead of computed one g25 at a time: window n starts
-    at lo_n = lo_0 + n dT/2, one chain carries the first-count state across
-    those starts, every window runs on the shared relative grid
-    linspace(0, 2 window, m), and its tail to T_n, which is lo_n again, is
-    P(lo_0) followed by n lattice steps through ``_march``. The sweep then
-    costs a fixed handful of exponentials however many T it has.
+    Window n spans width_n = min(2 window, T_n) from lo_n = (T_n - width_n) / 2
+    in m_n points of step h_n. Its raw g25 at lo_n + l h_n is b_{m-1-l} . O_j a_l,
+    the past-quantum-state contraction (Gammelmark, Julsgaard & Molmer, PRL 111,
+    160401 (2013)): a_l is the count on atom i applied to rho_ss and b_l the
+    excited-state projector of atom k, marched forward and back (adjoint) by
+    lo_n + l h_n. Consecutive windows of one width, every unclipped one, share
+    one pair of (m, 81) stacks, each marching both one step of the starts.
     """
     Ts = _check_grid(T_grid, lo=0.0)
     if Ts[0] <= 0:
@@ -369,33 +371,27 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
     dtau = window / 40.0
 
     g2_at_T = g2(lv, i, k, Ts).values
+    rho = steady_state(lv)
+    norm = _stationary_norm(rho, (i, k), (j, theta))
+    lv_adj = derive_adjoint(lv)
+    start = _inserted(rho, _basis_insertion(i, None))
+    projector = _coordinates(algebra.vectorize(sigma(k, 2, 2).matrix))
+    mid = _basis_insertion(j, theta)
+    width = np.minimum(2.0 * window, Ts)
+    lo = (Ts - width) / 2.0
+    m = np.maximum(2, np.rint(width / dtau).astype(int) + 1)
     stats = np.empty((3, Ts.size))  # max, min and mean of the ratio at each T
-    dT = grid_steps(Ts)
-    if np.all(dT == dT[:1]) and Ts[0] / 2.0 >= window:
-        rho = steady_state(lv)
-        norm = _stationary_norm(rho, (i, k), (j, theta))
-        lo0, half = Ts[0] / 2.0 - window, (dT[0] / 2.0 if dT.size else 0.0)
-        starts = _coordinate_chain(lv, _inserted(rho, _basis_insertion(i, None)),
-                                   np.r_[lo0, np.full(Ts.size - 1, half)])
-        rel = np.linspace(0.0, 2.0 * window, max(2, int(round(2.0 * window / dtau)) + 1))
-        rel_steps = np.r_[0.0, grid_steps(rel)]
-        mid = _basis_insertion(j, theta)
-        lead = lv.propagator(lo0).T
-        probe = sigma(k, 2, 2).matrix
-        block = math.isqrt(Ts.size)
-        for n, start in enumerate(starts):
-            rows = _coordinate_chain(lv, start, rel_steps) @ mid.T
-            rows = _suffix_propagate(lv, rows, rel, rel[-1]) @ lead
-            rows = _march(lv, rows, np.full(rel.size, n), half, block)
-            ratio = _read(rows, probe) / norm / g2_at_T[n]
-            stats[:, n] = ratio.max(), ratio.min(), ratio.mean()
-    else:
-        for n, T in enumerate(Ts):
-            lo = max(0.0, T / 2.0 - window)
-            hi = min(T, T / 2.0 + window)
-            m = max(2, int(round((hi - lo) / dtau)) + 1)
-            tau = np.linspace(lo, hi, m)
-            ratio = g25(lv, i, j, k, theta, tau, T).values / g2_at_T[n]
+    for run in np.split(np.arange(Ts.size), np.flatnonzero(np.diff(width)) + 1):
+        n0 = run[0]
+        offsets = np.r_[lo[n0], np.full(m[n0] - 1, width[n0] / (m[n0] - 1))]
+        states = _coordinate_chain(lv, start, offsets)
+        effects = _coordinate_chain(lv_adj, projector, offsets)
+        for n, step in zip(run, np.r_[0.0, grid_steps(lo[run])]):
+            if step:
+                states = states @ lv.propagator(step).T
+                effects = effects @ lv_adj.propagator(step).T
+            raw = np.einsum("la,la->l", states @ mid.T, effects[::-1])
+            ratio = raw / norm / g2_at_T[n]
             stats[:, n] = ratio.max(), ratio.min(), ratio.mean()
     return tuple(CorrelationSeries(kind="amplitude_ratio", atoms=(i, j, k), tau_grid=Ts,
                                    values=vals, theta=theta) for vals in stats)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from rydcorr import algebra
+from rydcorr import ModelParams, algebra, build_liouvillian
 from rydcorr.errors import (
     AccuracyNotMetError,
     DimensionMismatchError,
@@ -103,6 +105,18 @@ def test_eig_residual_contract():
     dec = algebra.eig(m)
     resid = m @ dec.right_eigenvectors - dec.right_eigenvectors * dec.eigenvalues
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(m) * np.linalg.norm(dec.right_eigenvectors)
+
+
+@pytest.mark.parametrize("omega1", [1e150, 1e160, 1e200])
+def test_eig_residual_contract_is_scale_safe(omega1):
+    """The residual and its bound are taken on the matrix over its largest
+    entry: from entries of 1e154 the unscaled norms overflow to inf and the
+    check passed anything. A generator this stiff misses the contract."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        real = build_liouvillian(ModelParams(omega1=omega1)).real
+        with pytest.raises(AccuracyNotMetError):
+            algebra.eig(real)
 
 
 def test_eig_sorted_descending_real():

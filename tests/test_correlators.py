@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydcorr import (
     ModelParams,
@@ -33,7 +35,7 @@ from rydcorr.errors import (
 from rydcorr.liouville import _coordinate_chain, _coordinates, grid_steps
 from rydcorr.model import PairOperator, sigma
 
-from conftest import THETA, default_grid, rel_close, series_rel_close
+from conftest import REF, THETA, default_grid, rel_close, series_rel_close
 from oracles import amplitude_event, count_event, multitime_correlator
 
 
@@ -408,27 +410,38 @@ def ratio_per_T(lv, Ts, window, dtau):
     return out
 
 
-def test_amplitude_ratio_marches_across_T(params):
-    """fig8's sweep (103 values of T) marches its windows across T: a fixed
-    handful of propagators instead of one or two per T, and the same ratios."""
+FIG8_T = cli._grid(*cli.WINDOWS["ampratio"], (2 * np.pi / REF.rabi) / 16)
+
+
+@pytest.mark.parametrize("Ts, propagators", [(FIG8_T, 5), (np.linspace(1.0, 4.0, 13), None),
+                                              (np.array([3.0, 3.5, 4.5, 6.0]), None),
+                                              (np.linspace(1.0, 6.0, 21), None)],
+                         ids=["fig8", "clipped", "non-uniform", "mixed"])
+def test_amplitude_ratio_marches_across_T(params, Ts, propagators):
+    """Every T grid, uniform or not, with windows clipped at 0 and T
+    (T/2 < window) or not, gives the ratios of one g25 per T. fig8's sweep
+    (103 values of T) takes five propagators: g2's first T and its step, the
+    windows' first start and their tau step, and the step between starts."""
     period = 2 * np.pi / params.rabi
-    Ts = cli._grid(*cli.WINDOWS["ampratio"], period / 16)
     lv = build_liouvillian(params)
-    marched = np.array([s.values for s in amplitude_ratio(lv, 1, 2, 2, THETA, Ts)])
-    assert len(lv._propagators) <= 16
+    got = np.array([s.values for s in amplitude_ratio(lv, 1, 2, 2, THETA, Ts)])
+    if propagators is not None:
+        assert len(lv._propagators) <= propagators
     expected = ratio_per_T(build_liouvillian(params), Ts, period, period / 40)
-    for got, want in zip(marched, expected):
-        assert series_rel_close(got, want, rtol=1e-10) < 1.0
+    for g, want in zip(got, expected):
+        assert series_rel_close(g, want, rtol=1e-10) < 1.0
 
 
-@pytest.mark.parametrize("Ts", [np.linspace(1.0, 4.0, 13), np.array([3.0, 3.5, 4.5, 6.0])],
-                         ids=["clipped", "non-uniform"])
-def test_amplitude_ratio_per_T_otherwise(lv, params, Ts):
-    """Windows clipped at 0 and T (T/2 < window), or a non-uniform T grid,
-    take the per-T g25 path."""
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.lists(st.floats(0.2, 12.0), min_size=1, max_size=8, unique=True).map(sorted))
+def test_amplitude_ratio_matches_per_T_on_any_grid(lv, params, Ts):
+    """Drawn T grids, clipped, unclipped, mixed and non-uniform, agree with
+    one g25 per T."""
+    Ts = np.array(Ts)
     period = 2 * np.pi / params.rabi
     got = np.array([s.values for s in amplitude_ratio(lv, 1, 2, 2, THETA, Ts)])
-    assert np.array_equal(got, ratio_per_T(lv, Ts, period, period / 40))
+    for g, want in zip(got, ratio_per_T(lv, Ts, period, period / 40)):
+        assert series_rel_close(g, want, rtol=1e-10) < 1.0
 
 
 # --- dominant frequency ---------------------------------------------------------
