@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algebra, correlators
-from .correlators import CorrelationSeries, _count_chain
+from .correlators import CorrelationSeries, _count_chain, _effect_chain
 from .errors import (
     BadValueError,
     ConfigError,
@@ -64,7 +64,6 @@ from .liouville import (
     steady_state,
 )
 from .model import ModelParams, sigma
-from .pqs import effect_chain
 from .trajectories import MAX_TRAJECTORIES, STREAM, mcwf_run, write_clicks_csv
 
 # manifest keys (or key prefixes) whose values can change between identical runs
@@ -356,14 +355,16 @@ def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
                             lv_adj: Liouvillian | None = None, k: int | None = None,
                             T: float | None = None) -> None:
     """Check a recipe's conditional path: the steady state, the state after
-    the count on atom i at each grid point >= 0 and, for a three-time
-    recipe, the effect matrix before the count on atom k at each grid point.
+    the count on atom i at each grid point >= 0 and, given the adjoint, the
+    effect matrix before the count on atom k at T, at each grid point.
 
     The states are the correlator's own first chain over the emission rate,
     read back from the generator (``correlators._count_chain``; marched only
-    if no correlator left it there), with their traces as marched. The
-    effects are the past-quantum-state route's backward chain. All of them
-    go through one eigenvalue call.
+    if no correlator left it there), with their traces as marched; the
+    past-quantum-state pair marches its own (``correlators._state_chain``),
+    so that the route check sees two forward roundings. The effects are that
+    pair's backward half, ``correlators._effect_chain``. All of them go
+    through one eigenvalue call.
     """
     log.add_generator(lv)
     rows = _count_chain(lv, i, grid[grid >= 0])
@@ -371,8 +372,8 @@ def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
     effects = ()
     if lv_adj is not None and k is not None and T is not None:
         log.add_generator(lv_adj)
-        effects = np.concatenate([sigma(k, 2, 2).matrix[None],
-                                  _square(effect_chain(lv_adj, k, grid, T))])
+        rows = algebra.from_hermitian_basis(_effect_chain(lv_adj, k, grid, T))
+        effects = np.concatenate([sigma(k, 2, 2).matrix[None], _square(rows)])
     log.add_states(states, effects)
 
 
@@ -415,7 +416,7 @@ def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
         if recipe.kind == "ampratio":
             series = correlators.amplitude_ratio(lv, *recipe.atoms, theta, T_grid)
             out.extend((f"{tag}_{name}", s, panel) for name, s in zip(("max", "min", "mean"), series))
-            _audit_conditional_path(lv, i, audit_grid, log)
+            _audit_conditional_path(lv, i, audit_grid, log, derive_adjoint(lv), k, hi)
             continue
         lv_adj = derive_adjoint(lv) if recipe.kind in ("g3", "g25") else None
         for T, grid in zip(recipe.Ts, grids):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydcorr import cli, correlators, liouville, pqs, trajectories
+from rydcorr import cli, correlators, liouville, trajectories
 from rydcorr.correlators import CorrelationSeries
 from rydcorr.errors import (
     BadValueError,
@@ -184,6 +184,20 @@ def test_fig8_series_are_ordered(tmp_path):
     assert np.array_equal(hi[:, 0], lo[:, 0]) and np.array_equal(hi[:, 0], mean[:, 0])
 
 
+@pytest.mark.parametrize("argv, manifest", [(["figure", "fig8"], "out/fig8.manifest"),
+                                            (["ampratio"], "out.manifest")],
+                         ids=["fig8", "ampratio"])
+def test_ampratio_audit_checks_the_effect_chain(tmp_path, argv, manifest):
+    """The amplitude-ratio audit checks the effect matrices on its [0, 18]
+    grid as well as the states: the steady state and 574 states, then the
+    projector and 574 effects marched back from 18, which covers every
+    effect distance the windows use."""
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / manifest).read_text().splitlines()
+    assert "invariant.states_checked = 1150" in lines
+    assert "invariant.overall = pass" in lines
+
+
 @pytest.mark.parametrize("figure", ["fig2", "fig3a", "fig3b", "fig4", "fig6"])
 def test_audit_reads_the_chain_the_correlator_marched(monkeypatch, figure):
     """A figure panel marches its first chain once: with the audit, a recipe
@@ -196,7 +210,7 @@ def test_audit_reads_the_chain_the_correlator_marched(monkeypatch, figure):
         chains.append("adjoint" if lv.adjoint else "forward")
         return chain(lv, x0, steps)
 
-    for module in (liouville, correlators, pqs):
+    for module in (liouville, correlators):
         monkeypatch.setattr(module, "_coordinate_chain", counted)
     recipe, cfg = cli.RECIPES[figure], cli.parse_config(["figure", figure])
     log = cli.InvariantLog()

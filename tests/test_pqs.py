@@ -7,12 +7,14 @@ from rydcorr import (
     ModelParams,
     build_adjoint_liouvillian,
     build_liouvillian,
+    correlators,
     g2,
     g3,
     g3_via_pqs,
     g15,
     g25,
     g25_via_pqs,
+    liouville,
     propagate,
     steady_state,
 )
@@ -209,6 +211,28 @@ def test_uniform_grid_costs_one_exponential_per_generator(params):
     assert list(lv_adj._propagators) == [h]
 
 
+def test_pqs_marches_its_own_forward_chain(params, monkeypatch):
+    """After g3 on a grid, g3_via_pqs on that grid marches a forward chain and
+    an adjoint chain of its own. Reading the regression route's kept chain
+    would give both routes the same forward rounding, which the route
+    comparison would then stop seeing."""
+    lv, lv_adj = build_liouvillian(params), build_adjoint_liouvillian(params)
+    T = 10.0
+    grid = default_grid(params, 0.0, T)
+    g3(lv, 1, 1, 2, grid, T)
+    chains = []
+    chain = liouville._coordinate_chain
+
+    def counted(lv, x0, steps):
+        chains.append("adjoint" if lv.adjoint else "forward")
+        return chain(lv, x0, steps)
+
+    for module in (liouville, correlators):
+        monkeypatch.setattr(module, "_coordinate_chain", counted)
+    g3_via_pqs(lv, lv_adj, 1, 1, 2, grid, T)
+    assert chains == ["forward", "adjoint"]
+
+
 def test_nonuniform_grid_marches_raw_steps(lv, lv_adj, monkeypatch):
     """On a non-uniform grid both routes march np.diff(grid), bit for bit."""
     T = 10.0
@@ -220,7 +244,6 @@ def test_nonuniform_grid_marches_raw_steps(lv, lv_adj, monkeypatch):
                      g25(lv, 1, 2, 2, THETA, grid, T).values,
                      g25_via_pqs(lv, lv_adj, 1, 2, 2, THETA, grid, T).values])
         monkeypatch.setattr("rydcorr.correlators.grid_steps", np.diff)
-        monkeypatch.setattr("rydcorr.pqs.grid_steps", np.diff)
     for stepped, raw in zip(*runs):
         assert np.array_equal(stepped, raw)
 
