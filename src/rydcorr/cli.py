@@ -323,12 +323,13 @@ class InvariantLog:
     def add_states(self, ms, effects=()):
         """Density matrices, whose trace must be one, and effect matrices,
         which have no trace condition: each one Hermitian 9x9 matrix or a
-        stack, all in one eigenvalue call."""
+        stack, each stack in one eigenvalue call of its own (no joint copy)."""
         ms = np.reshape(ms, (-1, DIM_PAIR, DIM_PAIR))
         effects = np.reshape(effects, (-1, DIM_PAIR, DIM_PAIR))
-        r = state_residuals(np.concatenate([ms, effects]))
-        self.max_trace_dev = float(np.max(r["trace_dev"][:len(ms)], initial=self.max_trace_dev))
-        self.min_eig = float(np.min(r["min_eig"], initial=self.min_eig))
+        r = state_residuals(ms)
+        self.max_trace_dev = float(np.max(r["trace_dev"], initial=self.max_trace_dev))
+        for min_eig in (r["min_eig"], state_residuals(effects)["min_eig"]):
+            self.min_eig = float(np.min(min_eig, initial=self.min_eig))
         self.checked += len(ms) + len(effects)
 
     @property
@@ -363,18 +364,19 @@ def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
     if no correlator left it there), with their traces as marched; the
     past-quantum-state pair marches its own (``correlators._state_chain``),
     so that the route check sees two forward roundings. The effects are that
-    pair's backward half, ``correlators._effect_chain``. All of them go
-    through one eigenvalue call.
+    pair's backward half, ``correlators._effect_chain``, kept on the one
+    adjoint every ``derive_adjoint(lv)`` returns (fig8's audit shares
+    ``amplitude_ratio``'s). Each stack is checked and dropped before the
+    next is converted, so the states and the effects are never copied
+    together.
     """
     log.add_generator(lv)
-    rows = _count_chain(lv, i, grid[grid >= 0])
-    states = np.concatenate([steady_state(lv)[None], _square(algebra.from_hermitian_basis(rows))])
-    effects = ()
+    log.add_states(steady_state(lv))
+    log.add_states(_square(algebra.from_hermitian_basis(_count_chain(lv, i, grid[grid >= 0]))))
     if lv_adj is not None and k is not None and T is not None:
         log.add_generator(lv_adj)
-        rows = algebra.from_hermitian_basis(_effect_chain(lv_adj, k, grid, T))
-        effects = np.concatenate([sigma(k, 2, 2).matrix[None], _square(rows)])
-    log.add_states(states, effects)
+        log.add_states((), sigma(k, 2, 2).matrix)
+        log.add_states((), _square(algebra.from_hermitian_basis(_effect_chain(lv_adj, k, grid, T))))
 
 
 def _grid(lo, hi, dt):

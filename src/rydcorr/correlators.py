@@ -18,7 +18,10 @@ once, and the rows marched in real arithmetic.
 
 The past-quantum-state pair (Gammelmark, Julsgaard & Molmer, PRL 111,
 160401 (2013)) is written here once, for ``pqs``, ``amplitude_ratio`` and the
-CLI's audit: ``_state_chain``, ``_effect_chain`` and ``_contract``.
+CLI's audit: ``_state_chain``, ``_effect_chain`` and ``_contract``. Each
+chain is kept on its generator, the state chain in a slot of its own beside
+regression's first chain, so g3 and g25 of one generator pair, grid and
+atoms i, k march the pair once.
 
 Provided correlators (all normalized by products of stationary one-time
 expectations, so uncorrelated signals give 1):
@@ -53,7 +56,7 @@ from .errors import (
 )
 from .liouville import (
     Liouvillian,
-    _coordinate_chain,
+    _coordinate_chain,  # noqa: F401  (the chain-counting tests patch it here too)
     _coordinates,
     _kept_chain,
     derive_adjoint,
@@ -273,23 +276,25 @@ def _count_chain(lv: Liouvillian, i: int, grid: np.ndarray) -> np.ndarray:
 def _state_chain(lv: Liouvillian, i: int, grid) -> np.ndarray:
     """Coordinate rows of rho_c(tau) on an ascending grid of delays >= 0: the
     count on atom i applied to the steady state over its emission rate, then
-    marched. Never ``_kept_chain``: sharing the regression route's forward
-    rounding halved the median route deviation over 3,600 ``route_scan``
-    series (4.3e-5 -> 2.1e-5 of criterion 06's rule) and hid its 10.8x one."""
+    marched. Kept on the generator in a slot of its own, never the regression
+    route's (``_count_chain``): sharing that forward rounding halved the
+    median route deviation over 3,600 ``route_scan`` series (4.3e-5 -> 2.1e-5
+    of criterion 06's rule) and hid its 10.8x one."""
     rho = steady_state(lv)
     jumped = _inserted(rho, _basis_insertion(i, None)) / _emission_rate(rho, i)
-    return _coordinate_chain(lv, jumped, _chain_steps(np.asarray(grid, dtype=float)))
+    return _kept_chain(lv, jumped, _chain_steps(np.asarray(grid, dtype=float)), "state_chain")
 
 
 def _effect_chain(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
     """Coordinate rows of E(tau) on an ascending grid ending by T: the
-    excited-state projector of atom k marched back from T with the adjoint."""
+    excited-state projector of atom k marched back from T with the adjoint,
+    which keeps the rows (one entry, keyed by start row and steps)."""
     if not lv_adj.adjoint:
         raise ValueError("effect_chain needs the adjoint generator")
     grid = np.asarray(grid, dtype=float)
     projector = _coordinates(algebra.vectorize(sigma(k, 2, 2).matrix))
-    return _coordinate_chain(lv_adj, projector,
-                             np.r_[T - grid[-1:], grid_steps(grid)[::-1]])[::-1]
+    return _kept_chain(lv_adj, projector, np.r_[T - grid[-1:], grid_steps(grid)[::-1]],
+                       "effect_chain")[::-1]
 
 
 def _contract(states: np.ndarray, mid: np.ndarray, effects: np.ndarray) -> np.ndarray:

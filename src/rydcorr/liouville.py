@@ -11,7 +11,10 @@ the backward propagation of effect matrices,
     L+ E = +i [H, E] + sum_c ( C_c^+ E C_c - {C_c^+ C_c, E} / 2 ),
 
 is the conjugate transpose of L as a matrix, and is derived as such from the
-forward generator (``derive_adjoint``).
+forward generator (``derive_adjoint``), once: the forward generator keeps
+it. ``build_adjoint_liouvillian(p)`` derives it from the live forward
+generator ``build_liouvillian(p)`` made for the same parameters, found in a
+weak map keyed by the exact bits of p, so one parameter point builds L once.
 
 Both map Hermitian matrices to Hermitian matrices, so in the orthonormal
 Hermitian basis of ``algebra`` (E_kk, (E_kl + E_lk)/sqrt2, i(E_kl - E_lk)/sqrt2)
@@ -40,8 +43,9 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -100,8 +104,8 @@ class Liouvillian:
     how far L is from preserving Hermiticity. Both are derived from
     ``matrix``. The adjoint's real matrix is computed from L = matrix^H and
     transposed, so it is exactly the forward generator's transpose. The
-    generator also keeps, in ``_cache``, its steady state and the last chain
-    that ``_kept_chain`` marched on it.
+    generator also keeps, in ``_cache``, its steady state, its derived
+    adjoint and the last chain ``_kept_chain`` marched on it in each slot.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -153,6 +157,18 @@ class Liouvillian:
         return prop
 
 
+# live forward generators by the exact bits of their parameters, for
+# build_adjoint_liouvillian; the map keeps none of them alive
+_FORWARD: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _params_key(p: ModelParams) -> tuple:
+    """Each field of p as its type and the IEEE bits of its real and imaginary
+    parts: 0.0 and -0.0 differ here, where ModelParams' == takes them as equal."""
+    return tuple((type(v), complex(v).real.hex(), complex(v).imag.hex())
+                 for v in (getattr(p, f.name) for f in fields(p)))
+
+
 def build_liouvillian(p: ModelParams) -> Liouvillian:
     """Forward generator of the master equation."""
     h = pair_hamiltonian(p).matrix
@@ -161,13 +177,20 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     for c in (op.matrix for op in jump_operators(p)):
         cdc = c.conj().T @ c
         gen += np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
-    return Liouvillian(gen, params=p, adjoint=False)
+    lv = Liouvillian(gen, params=p, adjoint=False)
+    _FORWARD[_params_key(p)] = lv
+    return lv
 
 
 def build_adjoint_liouvillian(p: ModelParams) -> Liouvillian:
     """Adjoint generator (backward effect-matrix evolution): L^H as a matrix,
-    and exactly the transpose of the forward generator in the Hermitian basis."""
-    return derive_adjoint(build_liouvillian(p))
+    and exactly the transpose of the forward generator in the Hermitian basis.
+
+    Derived from the forward generator ``build_liouvillian`` last made for
+    parameters of the same bits, while it is alive (the same bits it would
+    build again); otherwise from a new build."""
+    lv = _FORWARD.get(_params_key(p))
+    return derive_adjoint(lv if lv is not None else build_liouvillian(p))
 
 
 def derive_adjoint(lv: Liouvillian) -> Liouvillian:
@@ -175,10 +198,14 @@ def derive_adjoint(lv: Liouvillian) -> Liouvillian:
     build or basis change: ``matrix`` is lv.matrix^H and ``real`` lv.real^T,
     the same bits ``Liouvillian(lv.matrix^H, adjoint=True)`` computes, since
     it conjugate-transposes its matrix back to lv.matrix before the basis
-    change. It has its own propagator cache, so the past-quantum-state route
-    still takes the adjoint's own exponentials."""
+    change. The forward generator keeps it, so every call on lv returns the
+    same adjoint. It has its own propagator cache, so the past-quantum-state
+    route still takes the adjoint's own exponentials."""
     if lv.adjoint:
         raise ValueError("derive_adjoint needs the forward generator")
+    adj = lv._cache.get("adjoint")
+    if adj is not None:
+        return adj
     adj = copy.copy(lv)  # params and hermitian_residue carry over
     for name, value in (("matrix", lv.matrix.conj().T), ("real", lv.real.T)):
         value = np.ascontiguousarray(value)
@@ -186,6 +213,7 @@ def derive_adjoint(lv: Liouvillian) -> Liouvillian:
         object.__setattr__(adj, name, value)
     for name, value in (("adjoint", True), ("_propagators", OrderedDict()), ("_cache", {})):
         object.__setattr__(adj, name, value)
+    lv._cache["adjoint"] = adj
     return adj
 
 
@@ -216,19 +244,19 @@ def _coordinate_chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
     return out
 
 
-def _kept_chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
+def _kept_chain(lv: Liouvillian, x0: np.ndarray, steps, slot: str = "chain") -> np.ndarray:
     """``_coordinate_chain`` of x0 through ``steps``, kept on the generator.
 
-    The generator keeps one chain, the last marched here, keyed by its start
-    row and its steps; a call with the same pair reads it back instead of
-    marching again. The rows are read-only.
+    The generator keeps one chain per slot, the last marched there, keyed by
+    its start row and its steps; a call with the same pair reads it back
+    instead of marching again. The rows are read-only.
     """
-    kept = lv._cache.get("chain")
+    kept = lv._cache.get(slot)
     if kept is not None and np.array_equal(kept[0], x0) and np.array_equal(kept[1], steps):
         return kept[2]
     rows = _coordinate_chain(lv, x0, steps)
     rows.flags.writeable = False
-    lv._cache["chain"] = (np.array(x0), np.array(steps), rows)
+    lv._cache[slot] = (np.array(x0), np.array(steps), rows)
     return rows
 
 

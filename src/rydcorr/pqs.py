@@ -19,7 +19,10 @@ compare pointwise against regression. So the forward chain is this route's
 own, never the one regression keeps on the generator: sharing it halved the
 median route deviation over 3,600 ``route_scan`` series (4.3e-5 -> 2.1e-5
 of criterion 06's rule) and hid the one 10.8x series, only because both
-routes then carried the same forward rounding.
+routes then carried the same forward rounding. The pair is marched once per
+generator pair and grid: the state chain stays on the forward generator and
+the effect chain on the adjoint, each in a slot of its own, so g3 and g25
+with the same atoms i and k, grid and T read them back.
 """
 
 from __future__ import annotations

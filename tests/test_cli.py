@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydcorr import cli, correlators, liouville, trajectories
+from rydcorr import algebra, cli, correlators, liouville, trajectories
 from rydcorr.correlators import CorrelationSeries
 from rydcorr.errors import (
     BadValueError,
@@ -196,6 +196,41 @@ def test_ampratio_audit_checks_the_effect_chain(tmp_path, argv, manifest):
     lines = (tmp_path / manifest).read_text().splitlines()
     assert "invariant.states_checked = 1150" in lines
     assert "invariant.overall = pass" in lines
+
+
+def test_fig8_audit_shares_the_sweeps_adjoint(monkeypatch):
+    """fig8's audit and amplitude_ratio get one adjoint from derive_adjoint(lv):
+    the audit calls algebra.expm on it for no step the sweep has taken, only
+    once for the step of its own [0, 18] grid, 18/573, which no window uses
+    (their step is a fortieth of a Rabi period). The audit still checks its
+    1150 states and effects."""
+    phase, fetch, calls, audited_adjoints = ["sweep"], [None], [], []
+    propagator, expm, audit = liouville.Liouvillian.propagator, algebra.expm, cli._audit_conditional_path
+
+    def tracked(self, dt):
+        fetch[0] = (self, dt)
+        return propagator(self, dt)
+
+    def counted(m):
+        generator, dt = fetch[0]
+        calls.append((phase[0], generator.adjoint, float(dt)))
+        return expm(m)
+
+    def audited(lv, i, grid, log, lv_adj, k, T):
+        phase[0] = "audit"
+        audited_adjoints.append(lv_adj is liouville.derive_adjoint(lv))
+        return audit(lv, i, grid, log, lv_adj, k, T)
+
+    monkeypatch.setattr(liouville.Liouvillian, "propagator", tracked)
+    monkeypatch.setattr(algebra, "expm", counted)
+    monkeypatch.setattr(cli, "_audit_conditional_path", audited)
+    log = cli.InvariantLog()
+    cli._run_recipe(cli.RECIPES["fig8"], cli.parse_config(["figure", "fig8"]), log)
+    sweep = {dt for where, adjoint, dt in calls if where == "sweep" and adjoint}
+    audit_steps = [dt for where, adjoint, dt in calls if where == "audit" and adjoint]
+    assert audited_adjoints == [True] and len(sweep) == 3
+    assert audit_steps == [18.0 / 573] and not sweep.intersection(audit_steps)
+    assert log.checked == 1150 and log.ok
 
 
 @pytest.mark.parametrize("figure", ["fig2", "fig3a", "fig3b", "fig4", "fig6"])

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from rydcorr import (
     ModelParams,
     build_adjoint_liouvillian,
     build_liouvillian,
+    liouville,
     propagate,
     spectrum,
     steady_state,
@@ -348,6 +351,55 @@ def test_derived_adjoint_is_the_built_one_bit_for_bit(lv):
     assert adj._cache is not lv._cache
     with pytest.raises(ValueError, match="forward"):
         derive_adjoint(adj)
+
+
+def test_derive_adjoint_returns_the_one_the_generator_keeps(params):
+    lv = build_liouvillian(params)
+    adj = derive_adjoint(lv)
+    assert derive_adjoint(lv) is adj and lv._cache["adjoint"] is adj
+    assert adj._propagators is not lv._propagators and adj._cache is not lv._cache
+
+
+def test_adjoint_build_derives_from_the_live_forward_generator(params, monkeypatch):
+    """build_adjoint_liouvillian(p) after build_liouvillian(p) assembles no
+    generator: it derives the adjoint of the live one, whose bits a fresh
+    build gives."""
+    lv = build_liouvillian(params)
+    assembled = []
+    monkeypatch.setattr(liouville, "pair_hamiltonian",
+                        lambda p: assembled.append(p) or pair_hamiltonian(p))
+    adj = build_adjoint_liouvillian(ModelParams(**vars(params)))
+    assert assembled == [] and adj is derive_adjoint(lv)
+    monkeypatch.undo()
+    fresh = derive_adjoint(build_liouvillian(params))
+    for name in ("matrix", "real", "hermitian_residue", "adjoint"):
+        assert np.array_equal(getattr(adj, name), getattr(fresh, name))
+
+
+def test_forward_generator_map_keeps_no_generator_alive(monkeypatch):
+    """The map from parameter bits to forward generators is weak: once the
+    generator is gone, so is its entry, and an adjoint build makes a new one."""
+    monkeypatch.setattr(liouville, "_FORWARD", weakref.WeakValueDictionary())
+    p = ModelParams(v12=0.75)
+    lv = build_liouvillian(p)
+    assert list(liouville._FORWARD.values()) == [lv]
+    del lv
+    gc.collect()
+    assert len(liouville._FORWARD) == 0
+    adj = build_adjoint_liouvillian(p)
+    assert adj.adjoint and len(liouville._FORWARD) == 0
+
+
+def test_signed_zero_parameters_never_share_a_generator(monkeypatch):
+    """ModelParams(v12=0.0) == ModelParams(v12=-0.0), but the map keys on the
+    bits, so neither's adjoint is derived from the other's generator."""
+    plus, minus = ModelParams(v12=0.0), ModelParams(v12=-0.0)
+    assert plus == minus
+    lv_plus, lv_minus = build_liouvillian(plus), build_liouvillian(minus)
+    for p, lv, other in ((plus, lv_plus, lv_minus), (minus, lv_minus, lv_plus)):
+        adj = build_adjoint_liouvillian(p)
+        assert adj is derive_adjoint(lv) and adj is not derive_adjoint(other)
+        assert math.copysign(1.0, adj.params.v12) == math.copysign(1.0, p.v12)
 
 
 def test_hermitian_residue_is_scale_safe(lv):

@@ -233,6 +233,35 @@ def test_pqs_marches_its_own_forward_chain(params, monkeypatch):
     assert chains == ["forward", "adjoint"]
 
 
+def test_pqs_pair_is_marched_once_per_generator_pair_and_grid(params, monkeypatch):
+    """g25_via_pqs after g3_via_pqs on the same generators, atoms i and k, grid
+    and T reads both chains back: it marches none, and its values are a
+    fresh generator pair's bit for bit. The forward chain stays apart from
+    the one regression keeps."""
+    T = 10.0
+    grid = default_grid(params, 0.0, T)
+    lv, lv_adj = build_liouvillian(params), build_adjoint_liouvillian(params)
+    g3(lv, 1, 2, 2, grid, T)
+    regression_chain = lv._cache["chain"]
+    g3_via_pqs(lv, lv_adj, 1, 2, 2, grid, T)
+    assert lv._cache["chain"] is regression_chain
+    assert lv._cache["state_chain"][2] is not regression_chain[2]
+    chain = liouville._coordinate_chain
+    marched = []
+
+    def counted(lv, x0, steps):
+        marched.append(lv.adjoint)
+        return chain(lv, x0, steps)
+
+    monkeypatch.setattr(liouville, "_coordinate_chain", counted)
+    kept = g25_via_pqs(lv, lv_adj, 1, 1, 2, THETA, grid, T).values
+    assert marched == []
+    monkeypatch.undo()
+    fresh_lv = build_liouvillian(ModelParams(**vars(params)))
+    fresh = g25_via_pqs(fresh_lv, liouville.derive_adjoint(fresh_lv), 1, 1, 2, THETA, grid, T)
+    assert np.array_equal(kept, fresh.values)
+
+
 def test_nonuniform_grid_marches_raw_steps(lv, lv_adj, monkeypatch):
     """On a non-uniform grid both routes march np.diff(grid), bit for bit."""
     T = 10.0
