@@ -374,7 +374,6 @@ def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
     log.add_states(steady_state(lv))
     log.add_states(_square(algebra.from_hermitian_basis(_count_chain(lv, i, grid[grid >= 0]))))
     if lv_adj is not None and k is not None and T is not None:
-        log.add_generator(lv_adj)
         log.add_states((), sigma(k, 2, 2).matrix)
         log.add_states((), _square(algebra.from_hermitian_basis(_effect_chain(lv_adj, k, grid, T))))
 

@@ -56,7 +56,6 @@ from .errors import (
 )
 from .liouville import (
     Liouvillian,
-    _coordinate_chain,  # noqa: F401  (the chain-counting tests patch it here too)
     _coordinates,
     _kept_chain,
     derive_adjoint,

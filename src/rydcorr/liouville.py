@@ -85,6 +85,12 @@ HERMITIAN_BASIS_RTOL = 1e-12
 # exponentials a generator keeps, least recently used first out; a figure
 # recipe needs at most 16 (fig8)
 PROPAGATOR_CACHE_SIZE = 64
+# rows of the longest chain a generator keeps (_kept_chain): the figure
+# recipes and the commands' default grids keep at most 797 (fig2, fig3a,
+# fig3b), so each audit reads its panel's chain back, while a long grid
+# (the mcwf benchmark's g2 check: 2,401 rows, 1.6 MB) is not held as long
+# as its generator lives; a longer chain is marched again, to the same bits
+KEPT_CHAIN_ROWS = 1024
 
 # density/effect-matrix residuals the run audit accepts (cli.InvariantLog.ok)
 TRACE_TOL = 1e-9
@@ -247,16 +253,18 @@ def _coordinate_chain(lv: Liouvillian, x0: np.ndarray, steps) -> np.ndarray:
 def _kept_chain(lv: Liouvillian, x0: np.ndarray, steps, slot: str = "chain") -> np.ndarray:
     """``_coordinate_chain`` of x0 through ``steps``, kept on the generator.
 
-    The generator keeps one chain per slot, the last marched there, keyed by
-    its start row and its steps; a call with the same pair reads it back
-    instead of marching again. The rows are read-only.
+    The generator keeps one chain per slot, the last marched there of at
+    most KEPT_CHAIN_ROWS rows, keyed by its start row and its steps; a call
+    with the same pair reads it back instead of marching again. The rows
+    are read-only.
     """
     kept = lv._cache.get(slot)
     if kept is not None and np.array_equal(kept[0], x0) and np.array_equal(kept[1], steps):
         return kept[2]
     rows = _coordinate_chain(lv, x0, steps)
     rows.flags.writeable = False
-    lv._cache[slot] = (np.array(x0), np.array(steps), rows)
+    if len(rows) <= KEPT_CHAIN_ROWS:
+        lv._cache[slot] = (np.array(x0), np.array(steps), rows)
     return rows
 
 

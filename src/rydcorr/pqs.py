@@ -27,9 +27,6 @@ with the same atoms i and k, grid and T read them back.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import algebra
 from .correlators import (
     CorrelationSeries,
     _basis_insertion,
@@ -41,24 +38,7 @@ from .correlators import (
 )
 from .liouville import Liouvillian, steady_state
 
-__all__ = [
-    "state_chain",
-    "effect_chain",
-    "g3_via_pqs",
-    "g25_via_pqs",
-]
-
-
-def state_chain(lv: Liouvillian, i: int, grid) -> np.ndarray:
-    """Rows vec(rho_c(tau)) on an ascending grid of tau >= 0: the jump on atom i
-    from the steady state over its emission rate (unit trace), marched forward."""
-    return algebra.from_hermitian_basis(_state_chain(lv, i, grid))
-
-
-def effect_chain(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
-    """Rows vec(E(tau)) on an ascending grid ending by T: the excited-state
-    projector of atom k marched back from T with the adjoint generator."""
-    return algebra.from_hermitian_basis(_effect_chain(lv_adj, k, grid, T))
+__all__ = ["g3_via_pqs", "g25_via_pqs"]
 
 
 def _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T) -> CorrelationSeries:

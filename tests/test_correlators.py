@@ -24,6 +24,7 @@ from rydcorr.correlators import (
     _basis_insertion,
     _inserted,
     _insertion,
+    _stationary_norm,
     _suffix_propagate,
 )
 from rydcorr.errors import (
@@ -230,25 +231,22 @@ def test_three_time_matches_pointwise_insertion(lv, rho_ss, kind, atoms, T, n):
     assert abs(series.values[n] - direct) <= 1e-10 * max(abs(direct), floor)
 
 
-def stepwise_suffix(lv, rows, grid, t_end, dtype=np.clongdouble):
-    """Oracle for the suffix march: one grid step at a time, each applied to
-    every row still short of it (N^2 / 2 row products), then the tail.
+def stepwise_suffix(lv, rows, grid, t_end):
+    """The suffix march one grid step at a time, each applied to every row
+    still short of it (N^2 / 2 row products), then the tail.
 
     It takes and returns coordinate rows, as ``_suffix_propagate`` does, but
-    marches them column-stacked with scipy's exponential of ``lv.matrix``,
-    apart from the real kernel, and accumulates the march in ``dtype``:
-    extended precision by default, so that its own rounding over N^2 / 2
-    products does not swamp the comparison (in complex128, g25 at N = 638
-    differs from the blocked march by 1.1x criterion 06's rule, nearly all
-    of it this march's rounding: see the next two tests)."""
+    marches them column-stacked in complex128 with scipy's exponential of
+    ``lv.matrix``, apart from the real kernel. Its rounding compounds with
+    each step a row takes: see the error test below."""
     props = {}
 
     def prop(dt):
         if dt not in props:
-            props[dt] = scipy.linalg.expm(lv.matrix * dt).T.astype(dtype)
+            props[dt] = scipy.linalg.expm(lv.matrix * dt).T
         return props[dt]
 
-    w = from_hermitian_basis(rows).astype(dtype)
+    w = from_hermitian_basis(rows)
     for m, dt in enumerate(grid_steps(grid), start=1):
         w[:m] = w[:m] @ prop(dt)
     tail = t_end - grid[-1]
@@ -257,30 +255,60 @@ def stepwise_suffix(lv, rows, grid, t_end, dtype=np.clongdouble):
     return _coordinates(w)
 
 
+def inserted_rows(lv, rho, j, theta, grid):
+    """The kernel's coordinate rows of g3/g25 (1, j, k) after the middle
+    insertion on atom j, one per grid point, before the suffix march."""
+    chain = _coordinate_chain(lv, _inserted(rho, _basis_insertion(1, None)),
+                              np.r_[0.0, grid_steps(grid)])
+    return chain @ _basis_insertion(j, theta).T
+
+
 @pytest.mark.parametrize("kind", ["g3", "g25"])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 81, 638])
-def test_blocked_suffix_march_matches_stepwise(lv, monkeypatch, kind, n):
+def test_blocked_suffix_march_matches_stepwise(lv, rho_ss, kind, n):
     """The blocked march (B = isqrt(N): single steps, then jumps of B steps)
-    against the step-by-step march, on uniform grids around the block edges
-    and up to fig6's T = 20 grid of 638 points, at criterion 06's rule.
+    against an oracle read through the probe, on uniform grids around the
+    block edges and up to fig6's T = 20 grid of 638 points, at criterion
+    06's rule.
+
+    Row k's value is x_k . ((P^T)^(N-1-k) P_tail^T p), with x_k the kernel's
+    row after the middle insertion and p = vec(s22_2^T) the probe. So the
+    probe is marched back once in extended precision, N matrix-vector
+    products with scipy's exponential of ``lv.matrix`` (one per distinct
+    step, rounded to complex128), and each step's vector is dotted with its
+    row: N products where a step-by-step march of the rows takes N^2 / 2.
 
     Not tighter: at the 1e-5-of-peak floor, 1e-10 relative would be 1e-15 of
-    the peak, below the rounding of the step-by-step march itself, which on
-    the 638-point grid errs 14x as much as the blocked one in complex128
-    (next test) and 3x as much even in extended precision, with its
-    propagators rounded to complex128. The two differ by 0.42x the rule
-    there, for g25."""
+    the peak, below the rounding of the oracle's complex128 propagators. On
+    the 638-point grid g25 reads 0.418x the rule. A stepwise row march in
+    real long double in the Hermitian basis was rejected: it read 1.19x
+    the rule there, as its propagator carries the rounding of the basis
+    change."""
     T = 20.0
     grid = np.linspace(0.0, T, n)
+    if kind == "g3":
+        theta, norm = None, _stationary_norm(rho_ss, (1, 1, 2))
+        blocked = g3(lv, 1, 1, 2, grid, T).values
+    else:
+        theta, norm = THETA, _stationary_norm(rho_ss, (1, 2), (1, THETA))
+        blocked = g25(lv, 1, 1, 2, THETA, grid, T).values
+    props = {}
 
-    def run():
-        if kind == "g3":
-            return g3(lv, 1, 1, 2, grid, T).values
-        return g25(lv, 1, 1, 2, THETA, grid, T).values
+    def prop(dt):
+        if dt not in props:
+            props[dt] = scipy.linalg.expm(lv.matrix * dt).astype(np.clongdouble)
+        return props[dt]
 
-    blocked = run()
-    monkeypatch.setattr("rydcorr.correlators._suffix_propagate", stepwise_suffix)
-    assert series_rel_close(blocked, run(), rtol=1e-8) < 1.0
+    probe = vectorize(sigma(2, 2, 2).matrix.T).astype(np.clongdouble)
+    tail = T - grid[-1]
+    if tail > 0:
+        probe = probe @ prop(tail)
+    probes = [probe]
+    for dt in grid_steps(grid)[::-1]:
+        probes.append(probes[-1] @ prop(dt))
+    rows = from_hermitian_basis(inserted_rows(lv, rho_ss, 1, theta, grid))
+    oracle = np.einsum("na,na->n", rows.astype(np.clongdouble), probes[::-1]).real / norm
+    assert series_rel_close(blocked, oracle.astype(float), rtol=1e-8) < 1.0
 
 
 def expm_extended(a):
@@ -308,13 +336,16 @@ def test_blocked_suffix_march_error(lv, rho_ss):
     march in complex128, whose rounding compounds over 637 products
     (measured 0.072x). A jump formed as P(h)^B by squaring measured 1.34e-13
     there, 1.5x the step-by-step error. Both marches take and return
-    coordinate rows."""
+    coordinate rows. The previous test checks the values read from these
+    rows against the probe marched back in extended precision, where g25
+    at N = 638 reads 0.418x criterion 06's rule; a step-by-step row march
+    in real long double read 1.19x, and one in complex long double, 0.419x,
+    took 15-16 s per N = 638 case against under 0.2 s for the probe read."""
     T = 20.0
     errors = {}
     for n in (81, 638):
         grid = np.linspace(0.0, T, n)
-        rows = _coordinate_chain(lv, _inserted(rho_ss, _basis_insertion(1, None)),
-                                 np.r_[0.0, grid_steps(grid)]) @ _basis_insertion(1, THETA).T
+        rows = inserted_rows(lv, rho_ss, 1, THETA, grid)
         exact = from_hermitian_basis(rows).astype(np.clongdouble)
         power = expm_extended(lv.matrix * grid_steps(grid)[0]).T
         steps = np.arange(n - 1, -1, -1)
@@ -325,7 +356,7 @@ def test_blocked_suffix_march_error(lv, rho_ss):
             power = power @ power
         scale = np.abs(exact).max()
         marched = (_suffix_propagate(lv, rows, grid, T),
-                   stepwise_suffix(lv, rows, grid, T, dtype=complex))
+                   stepwise_suffix(lv, rows, grid, T))
         errors[n] = [float(np.abs(from_hermitian_basis(w) - exact).max() / scale) for w in marched]
         assert errors[n][0] <= 5e-14
     assert errors[638][0] <= 0.5 * errors[638][1]

@@ -21,6 +21,7 @@ from rydcorr.algebra import devectorize, vectorize
 from rydcorr.cli import InvariantLog
 from rydcorr.errors import DegenerateSteadyStateError, NegativeDurationError, NotPositiveError
 from rydcorr.liouville import (
+    KEPT_CHAIN_ROWS,
     PROPAGATOR_CACHE_SIZE,
     STEADY_RESIDUAL_TOL,
     Liouvillian,
@@ -419,7 +420,8 @@ def test_hermitian_residue_is_scale_safe(lv):
 
 def test_kept_chain_is_one_entry_keyed_by_start_and_steps(params, monkeypatch):
     """A second call with the same start row and steps reads the kept rows
-    back; other steps march, and replace them."""
+    back; other steps march, and replace them. A chain over KEPT_CHAIN_ROWS
+    is not kept: a second call marches it again, to the same bits."""
     lv = build_liouvillian(params)
     x0 = _coordinates(vectorize(steady_state(lv)))
     steps = np.full(5, 0.25)
@@ -431,6 +433,16 @@ def test_kept_chain_is_one_entry_keyed_by_start_and_steps(params, monkeypatch):
     monkeypatch.undo()
     other = _kept_chain(lv, x0, np.full(5, 0.5))
     assert other is not first and lv._cache["chain"][2] is other
+
+    long_steps = np.full(KEPT_CHAIN_ROWS + 1, 0.01)
+    marched = []
+    chain = liouville._coordinate_chain
+    monkeypatch.setattr("rydcorr.liouville._coordinate_chain",
+                        lambda *a: marched.append(1) or chain(*a))
+    runs = [_kept_chain(lv, x0, long_steps) for _ in range(2)]
+    assert len(marched) == 2 and runs[0] is not runs[1]
+    assert np.array_equal(runs[0], runs[1]) and not runs[1].flags.writeable
+    assert lv._cache["chain"][2] is other
 
 
 def test_generator_that_does_not_preserve_hermiticity_is_refused(lv):

@@ -18,9 +18,9 @@ from rydcorr import (
     propagate,
     steady_state,
 )
+from rydcorr.algebra import from_hermitian_basis
 from rydcorr.errors import NegativeDurationError
 from rydcorr.model import sigma
-from rydcorr.pqs import effect_chain, state_chain
 
 from conftest import THETA, default_grid, series_rel_close
 
@@ -32,6 +32,16 @@ def partial_trace_atom2(m):
 
 def partial_trace_atom1(m):
     return m.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2)
+
+
+def state_chain(lv, i, grid):
+    """Rows vec(rho_c(tau)), column-stacked, of the route's forward chain."""
+    return from_hermitian_basis(correlators._state_chain(lv, i, grid))
+
+
+def effect_chain(lv_adj, k, grid, T):
+    """Rows vec(E(tau)), column-stacked, of the route's backward chain."""
+    return from_hermitian_basis(correlators._effect_chain(lv_adj, k, grid, T))
 
 
 def square(rows):
@@ -227,8 +237,7 @@ def test_pqs_marches_its_own_forward_chain(params, monkeypatch):
         chains.append("adjoint" if lv.adjoint else "forward")
         return chain(lv, x0, steps)
 
-    for module in (liouville, correlators):
-        monkeypatch.setattr(module, "_coordinate_chain", counted)
+    monkeypatch.setattr(liouville, "_coordinate_chain", counted)
     g3_via_pqs(lv, lv_adj, 1, 1, 2, grid, T)
     assert chains == ["forward", "adjoint"]
 

@@ -1,11 +1,14 @@
 """The public surface: what each module exports, and what the package does."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import rydcorr
 
+SOURCES = sorted(Path(rydcorr.__file__).parent.parent.rglob("*.py"))
 MODULES = ("algebra", "correlators", "liouville", "model", "pqs", "trajectories")
 
 PACKAGE_NAMES = {
@@ -31,3 +34,29 @@ def test_package_exports_are_exactly_the_public_api():
     assert len(PACKAGE_NAMES) == 24
     assert sorted(rydcorr.__all__) == sorted(PACKAGE_NAMES | {"__version__"})
     assert [n for n in rydcorr.__all__ if not hasattr(rydcorr, n)] == []
+
+
+def unused_imports(path):
+    """Names a module imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_source_modules_import_nothing_unused(path):
+    """An import kept only for a test to patch, or left behind when its last
+    caller went, shows up here; no linter runs on the package."""
+    assert unused_imports(path) == []
