@@ -57,6 +57,7 @@ from .liouville import (
     STATIONARY_EIG_TOL,
     TRACE_TOL,
     Liouvillian,
+    _trace_deviation,
     build_liouvillian,
     derive_adjoint,
     spectrum,
@@ -306,14 +307,85 @@ def _bool_word(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+# The audit's sufficient positivity test is one batched Cholesky of
+# X - STATE_EIG_FLOOR / 2 I. Run to completion on a Hermitian 9x9 A, Cholesky
+# factors A + dA exactly, with |dA_kl| within a small multiple of
+# gamma_10 sqrt(a_kk a_ll), so that ||dA||_2 ~ 9 gamma_10 max a_kk ~ 1e-14
+# max a_kk (Demmel, LAPACK Working Note 14 (1989); Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed. (2002), ch. 10). A pass proves
+# lambda_min(X) >= STATE_EIG_FLOOR / 2 - ||dA||, at or above the floor while
+# ||dA|| stays under the margin |STATE_EIG_FLOOR| / 2 = 5e-10, which needs
+# bounded entries. A state (rho >= 0, trace 1) or an effect (0 <= E <= I) has
+# entries of modulus at most 1; a stack with a real or imaginary part beyond
+# this bound, or a non-finite one, is left to eigvalsh.
+CHOLESKY_ENTRY_BOUND = 2.0
+
+
+def _coordinate_gather() -> tuple[np.ndarray, np.ndarray]:
+    """For each float of a column-stacked complex 9x9 matrix, its real and
+    imaginary part in turn, the coordinate it comes from and its factor: the
+    entry above the diagonal is (x_upper + i x_lower) / sqrt2, the one below
+    it its conjugate, and a diagonal entry the coordinate itself."""
+    upper, lower = algebra._hermitian_pairs(DIM_PAIR * DIM_PAIR)
+    diagonal = np.arange(DIM_PAIR) * (DIM_PAIR + 1)
+    source = np.zeros((DIM_PAIR * DIM_PAIR, 2), dtype=np.intp)
+    factor = np.zeros((DIM_PAIR * DIM_PAIR, 2))
+    source[diagonal, 0], factor[diagonal, 0] = diagonal, 1.0
+    source[upper, 0] = source[lower, 0] = upper
+    source[upper, 1] = source[lower, 1] = lower
+    factor[upper] = factor[lower] = algebra._WEIGHT
+    factor[lower, 1] = -algebra._WEIGHT
+    return source.ravel(), factor.ravel()
+
+
+_GATHER_SOURCE, _GATHER_FACTOR = _coordinate_gather()
+
+
+def _stack_from_coordinates(rows: np.ndarray) -> np.ndarray:
+    """One complex (N, 9, 9) buffer of the Hermitian matrices of coordinate
+    rows, each transposed, which conjugates it and keeps its eigenvalues: the
+    column-stacked entries in C order, in one gather from the rows and one
+    scaling. The diagonal entries are the coordinates themselves."""
+    n = len(rows)
+    stack = np.empty((n, DIM_PAIR, DIM_PAIR), dtype=complex)
+    parts = stack.reshape(n, DIM_PAIR * DIM_PAIR).view(float)
+    # every index is in range; "clip" lets take write into out without a buffer
+    np.take(rows, _GATHER_SOURCE, axis=1, out=parts, mode="clip")
+    parts *= _GATHER_FACTOR
+    return stack
+
+
+def _cholesky_passes(stack: np.ndarray) -> bool:
+    """Whether one batched Cholesky proves every matrix of a C-contiguous
+    Hermitian stack at or above STATE_EIG_FLOOR (see CHOLESKY_ENTRY_BOUND).
+    It shifts the stack in place, so the caller's buffer is spent."""
+    parts = stack.view(float)
+    if not (-CHOLESKY_ENTRY_BOUND <= parts.min() and parts.max() <= CHOLESKY_ENTRY_BOUND):
+        return False  # also an inf or a NaN, which cholesky factors into NaNs without raising
+    stack.reshape(len(stack), -1)[:, ::DIM_PAIR + 1].real -= 0.5 * STATE_EIG_FLOOR
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class InvariantLog:
-    """Worst-case generator and state/effect residuals seen along a run, for the manifest."""
+    """Worst-case generator and state/effect residuals seen along a run, for the manifest.
+
+    A stack of states or effects passes the sufficient Cholesky test
+    (``_cholesky_passes``), or its eigenvalues decide it (``state_residuals``).
+    So ``min_eig`` is the smallest eigenvalue of a stack that the test did not
+    pass, capped at 0, and 0 when every stack passed; ``eigvalsh_stacks``
+    counts the stacks that the eigenvalues decided.
+    """
 
     def __init__(self):
         self.max_trace_dev = 0.0
         self.max_herm = 0.0
         self.min_eig = 0.0
         self.checked = 0
+        self.eigvalsh_stacks = 0
 
     def add_generator(self, lv: Liouvillian):
         """The generator's Hermiticity residue: every state and effect a run
@@ -323,14 +395,35 @@ class InvariantLog:
     def add_states(self, ms, effects=()):
         """Density matrices, whose trace must be one, and effect matrices,
         which have no trace condition: each one Hermitian 9x9 matrix or a
-        stack, each stack in one eigenvalue call of its own (no joint copy)."""
-        ms = np.reshape(ms, (-1, DIM_PAIR, DIM_PAIR))
-        effects = np.reshape(effects, (-1, DIM_PAIR, DIM_PAIR))
-        r = state_residuals(ms)
-        self.max_trace_dev = float(np.max(r["trace_dev"], initial=self.max_trace_dev))
-        for min_eig in (r["min_eig"], state_residuals(effects)["min_eig"]):
-            self.min_eig = float(np.min(min_eig, initial=self.min_eig))
-        self.checked += len(ms) + len(effects)
+        stack (the test works on a copy)."""
+        for matrices, is_state in ((ms, True), (effects, False)):
+            matrices = np.reshape(matrices, (-1, DIM_PAIR, DIM_PAIR))
+            if not self._passes(np.array(matrices, dtype=complex), is_state):
+                self._decide(matrices)
+
+    def add_coordinates(self, rows, effects=False):
+        """Density matrices, or with ``effects`` effect matrices, as (N, 81)
+        coordinate rows in the Hermitian basis. A stack the test does not pass
+        is built again as the eigenvalue path always built it."""
+        if not self._passes(_stack_from_coordinates(rows), not effects):
+            self._decide(_square(algebra.from_hermitian_basis(rows)))
+
+    def _passes(self, stack, is_state) -> bool:
+        """Count a fresh stack, log a state stack's trace deviation, and spend
+        the stack on the Cholesky test."""
+        self.checked += len(stack)
+        if is_state:
+            self.max_trace_dev = float(np.max(_trace_deviation(stack), initial=self.max_trace_dev))
+        return not len(stack) or _cholesky_passes(stack)
+
+    def _decide(self, matrices):
+        """The smallest eigenvalue of a stack the Cholesky test did not pass."""
+        self.eigvalsh_stacks += 1
+        try:
+            min_eig = state_residuals(matrices)["min_eig"]
+        except np.linalg.LinAlgError:  # eigvalsh does not converge on an inf or a NaN
+            min_eig = np.nan
+        self.min_eig = float(np.min(min_eig, initial=self.min_eig))
 
     @property
     def ok(self) -> bool:
@@ -367,15 +460,14 @@ def _audit_conditional_path(lv: Liouvillian, i: int, grid, log: InvariantLog,
     pair's backward half, ``correlators._effect_chain``, kept on the one
     adjoint every ``derive_adjoint(lv)`` returns (fig8's audit shares
     ``amplitude_ratio``'s). Each stack is checked and dropped before the
-    next is converted, so the states and the effects are never copied
-    together.
+    next is built, so the states and the effects are never copied together.
     """
     log.add_generator(lv)
     log.add_states(steady_state(lv))
-    log.add_states(_square(algebra.from_hermitian_basis(_count_chain(lv, i, grid[grid >= 0]))))
+    log.add_coordinates(_count_chain(lv, i, grid[grid >= 0]))
     if lv_adj is not None and k is not None and T is not None:
         log.add_states((), sigma(k, 2, 2).matrix)
-        log.add_states((), _square(algebra.from_hermitian_basis(_effect_chain(lv_adj, k, grid, T))))
+        log.add_coordinates(_effect_chain(lv_adj, k, grid, T), effects=True)
 
 
 def _grid(lo, hi, dt):
@@ -385,6 +477,17 @@ def _grid(lo, hi, dt):
                             f"{MAX_GRID_POINTS} points; use a larger step or a narrower window")
     n = max(1, int(round(steps)))
     return np.linspace(lo, hi, n + 1)
+
+
+def _grid_on_step(hi, h):
+    """0, h, 2h, ..., n h <= hi (n >= 1), on which ``grid_steps`` reads h
+    itself to the bit, so that a march along it fetches the propagator of h."""
+    n = max(1, math.floor(min(hi / h, MAX_GRID_POINTS)))
+    end = n * h
+    # n h rounds; of it and its neighbours, one divides back to h exactly
+    end = next((e for e in (end, np.nextafter(end, 0.0), np.nextafter(end, np.inf)) if e / n == h),
+               end)
+    return _grid(0.0, end, h)
 
 
 def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
@@ -406,7 +509,9 @@ def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
     i, k = recipe.atoms[0], recipe.atoms[-1]
     amplitude = (theta,) if recipe.kind in ("g15", "g25") else ()
     if recipe.kind == "ampratio":
-        T_grid, audit_grid = _grid(lo, hi, dT), _grid(0.0, hi, dtau)
+        # the audit marches on the windows' own step, whose exponentials the sweep caches
+        T_grid = _grid(lo, hi, dT)
+        audit_grid = _grid_on_step(hi, correlators._window_step(p.rabi, T_grid))
     else:
         grids = [_grid(lo, T if hi is None else hi, dtau) for T in recipe.Ts]
     out = []
@@ -417,7 +522,8 @@ def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
         if recipe.kind == "ampratio":
             series = correlators.amplitude_ratio(lv, *recipe.atoms, theta, T_grid)
             out.extend((f"{tag}_{name}", s, panel) for name, s in zip(("max", "min", "mean"), series))
-            _audit_conditional_path(lv, i, audit_grid, log, derive_adjoint(lv), k, hi)
+            _audit_conditional_path(lv, i, audit_grid, log, derive_adjoint(lv), k,
+                                    audit_grid[-1])
             continue
         lv_adj = derive_adjoint(lv) if recipe.kind in ("g3", "g25") else None
         for T, grid in zip(recipe.Ts, grids):
@@ -588,6 +694,7 @@ def run(cfg: argparse.Namespace) -> int:
     tail = [("outputs", ";".join(str(o) for o in outputs))]
     tail.extend(log.entries())
     volatile = [e for e in entries if e[0].startswith(VOLATILE_KEYS)] + [
+        ("counter.audit.eigvalsh_stacks", str(log.eigvalsh_stacks)),
         ("env.openblas_num_threads", os.environ.get("OPENBLAS_NUM_THREADS", "unset")),
         ("wall_time_s", f"{time.monotonic() - t0:.3f}"),
         ("timestamp_utc", datetime.now(timezone.utc).isoformat()),

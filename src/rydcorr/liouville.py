@@ -471,10 +471,14 @@ def spectrum(lv: Liouvillian) -> LiouvillianSpectrum:
     return LiouvillianSpectrum(eigenvalues=w, right_modes=vr)
 
 
+def _trace_deviation(m: np.ndarray) -> np.ndarray:
+    """|Tr m - 1| of a complex 9x9 matrix, or of each in a stack."""
+    dev = np.trace(m, axis1=-2, axis2=-1) - 1.0
+    return np.hypot(dev.real, dev.imag)  # rounds as abs() of one complex does
+
+
 def state_residuals(m: np.ndarray) -> dict:
     """Trace deviation |Tr m - 1| and smallest eigenvalue of a Hermitian 9x9
     matrix, or of each in a stack (``eigvalsh`` reads the lower triangle)."""
     m = np.asarray(m, dtype=complex)
-    dev = np.trace(m, axis1=-2, axis2=-1) - 1.0
-    trace_dev = np.hypot(dev.real, dev.imag)  # rounds as abs() of one complex does
-    return {"trace_dev": trace_dev, "min_eig": np.linalg.eigvalsh(m).min(axis=-1)}
+    return {"trace_dev": _trace_deviation(m), "min_eig": np.linalg.eigvalsh(m).min(axis=-1)}

@@ -15,6 +15,7 @@ from rydcorr.errors import (
     UnknownKeyError,
 )
 from rydcorr.liouville import grid_steps
+from rydcorr.model import sigma
 
 
 def read_series(path):
@@ -188,23 +189,26 @@ def test_fig8_series_are_ordered(tmp_path):
                                             (["ampratio"], "out.manifest")],
                          ids=["fig8", "ampratio"])
 def test_ampratio_audit_checks_the_effect_chain(tmp_path, argv, manifest):
-    """The amplitude-ratio audit checks the effect matrices on its [0, 18]
-    grid as well as the states: the steady state and 574 states, then the
-    projector and 574 effects marched back from 18, which covers every
-    effect distance the windows use."""
+    """The amplitude-ratio audit checks the effect matrices on its grid up
+    to 18 as well as the states: the steady state and 574 states, then the
+    projector and 574 effects marched back from the grid's end, which covers
+    every effect distance the windows use. The Cholesky test passes every
+    stack, so no eigenvalue call decides one."""
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
     lines = (tmp_path / manifest).read_text().splitlines()
     assert "invariant.states_checked = 1150" in lines
     assert "invariant.overall = pass" in lines
+    assert "invariant.min_eigenvalue = 0.00000000000e+00" in lines
+    assert "counter.audit.eigvalsh_stacks = 0" in lines
 
 
 def test_fig8_audit_shares_the_sweeps_adjoint(monkeypatch):
-    """fig8's audit and amplitude_ratio get one adjoint from derive_adjoint(lv):
-    the audit calls algebra.expm on it for no step the sweep has taken, only
-    once for the step of its own [0, 18] grid, 18/573, which no window uses
-    (their step is a fortieth of a Rabi period). The audit still checks its
-    1150 states and effects."""
-    phase, fetch, calls, audited_adjoints = ["sweep"], [None], [], []
+    """fig8's audit and amplitude_ratio get one adjoint from derive_adjoint(lv),
+    and the audit calls algebra.expm on neither generator: its grid takes the
+    windows' own step, a fortieth of a Rabi period to the bit, in 574 points
+    up to 573 steps <= 18, and its effects march back from that end. The
+    audit still checks its 1150 states and effects."""
+    phase, fetch, calls, audited_adjoints, audited_grids = ["sweep"], [None], [], [], []
     propagator, expm, audit = liouville.Liouvillian.propagator, algebra.expm, cli._audit_conditional_path
 
     def tracked(self, dt):
@@ -219,6 +223,7 @@ def test_fig8_audit_shares_the_sweeps_adjoint(monkeypatch):
     def audited(lv, i, grid, log, lv_adj, k, T):
         phase[0] = "audit"
         audited_adjoints.append(lv_adj is liouville.derive_adjoint(lv))
+        audited_grids.append((grid, T))
         return audit(lv, i, grid, log, lv_adj, k, T)
 
     monkeypatch.setattr(liouville.Liouvillian, "propagator", tracked)
@@ -227,9 +232,12 @@ def test_fig8_audit_shares_the_sweeps_adjoint(monkeypatch):
     log = cli.InvariantLog()
     cli._run_recipe(cli.RECIPES["fig8"], cli.parse_config(["figure", "fig8"]), log)
     sweep = {dt for where, adjoint, dt in calls if where == "sweep" and adjoint}
-    audit_steps = [dt for where, adjoint, dt in calls if where == "audit" and adjoint]
+    audit_steps = [dt for where, adjoint, dt in calls if where == "audit"]
     assert audited_adjoints == [True] and len(sweep) == 3
-    assert audit_steps == [18.0 / 573] and not sweep.intersection(audit_steps)
+    assert audit_steps == []
+    [(grid, T)] = audited_grids
+    assert grid.size == 574 and T == grid[-1] <= 18.0 < T + grid[1]
+    assert set(grid_steps(grid)) <= sweep
     assert log.checked == 1150 and log.ok
 
 
@@ -278,6 +286,84 @@ def test_audit_fails_states_whose_trace_drifts(params, drift):
     clean = cli.InvariantLog()
     cli._audit_conditional_path(cli.build_liouvillian(params), 1, grid, clean)
     assert clean.ok and 0 < clean.max_trace_dev < 1e-12
+
+
+def hermitian(eigenvalues, seed=5):
+    """A 9x9 Hermitian matrix with the given eigenvalues, in a random basis."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    m = (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_stack_from_coordinates_is_the_transposed_audit_stack(params):
+    """The gathered stack holds the transposes of the matrices the eigenvalue
+    path builds, within an ulp, with the diagonal (the coordinates themselves)
+    and so the trace deviations to the bit; the chain passes the Cholesky test."""
+    lv = cli.build_liouvillian(params)
+    grid = np.linspace(0.0, 20.0, 638)
+    rows = np.array(correlators._count_chain(lv, 1, grid))
+    stack = cli._stack_from_coordinates(rows)
+    exact = cli._square(algebra.from_hermitian_basis(rows))
+    ulp = np.finfo(float).eps * np.abs(exact).max()
+    assert np.max(np.abs(stack - exact.swapaxes(1, 2))) <= 4 * ulp
+    assert np.array_equal(np.einsum("nkk->nk", stack), np.einsum("nkk->nk", exact))
+    log = cli.InvariantLog()
+    log.add_coordinates(rows)
+    assert log.max_trace_dev == np.max(liouville.state_residuals(exact)["trace_dev"])
+    assert log.ok and log.checked == 638 and log.eigvalsh_stacks == 0 and log.min_eig == 0.0
+
+
+# the conversion for eigvalsh makes inf * 1j a NaN, which numpy warns of
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(4, 4), (4, 3)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("as_rows", [False, True], ids=["matrices", "coordinates"])
+def test_non_finite_effect_fails_the_audit(bad, entry, as_rows):
+    """Effects have no trace check, so only positivity can catch a NaN or an
+    inf: cholesky factors either into NaNs without raising, and eigvalsh
+    returns NaN or does not converge. The stack fails the audit without an
+    exception."""
+    effects = np.stack([sigma(a, 2, 2).matrix for a in (1, 2, 1, 2)]).astype(complex)
+    log = cli.InvariantLog()
+    if as_rows:
+        rows = liouville._coordinates(effects.swapaxes(1, 2).reshape(-1, 81))  # column-stacked
+        rows[2, entry[0] + 9 * entry[1]] = bad
+        log.add_coordinates(rows, effects=True)
+    else:
+        effects[(2, *entry)] = bad
+        log.add_states((), effects)
+    assert not log.ok and log.eigvalsh_stacks == 1 and log.checked == 4
+
+
+@pytest.mark.parametrize("least, ok, rotated", [
+    (-7e-10, True, True), (-7e-10, True, False), (-1.5e-9, False, True), (-1.5e-9, False, False),
+    # at the floor exactly, which only a diagonal matrix gives eigvalsh to the bit
+    (cli.STATE_EIG_FLOOR, True, False)])
+def test_stacks_the_cholesky_test_cannot_pass_are_decided_by_eigenvalues(least, ok, rotated):
+    """A state whose smallest eigenvalue lies between the floor and half of
+    it fails the shifted factorisation, and eigvalsh passes it and reports
+    the eigenvalue; one at the floor exactly passes, as it always has; one
+    below it fails."""
+    spectrum = [1.0 - least, least, 0, 0, 0, 0, 0, 0, 0]
+    matrix = hermitian(spectrum) if rotated else np.diag(spectrum).astype(complex)
+    log = cli.InvariantLog()
+    log.add_states(np.stack([hermitian([0.5, 0.5, 0, 0, 0, 0, 0, 0, 0]), matrix]))
+    assert log.eigvalsh_stacks == 1 and log.ok is ok
+    assert log.min_eig == pytest.approx(least, abs=1e-15)
+
+
+def test_stacks_beyond_the_entry_bound_are_decided_by_eigenvalues():
+    """A positive stack with an entry beyond CHOLESKY_ENTRY_BOUND is left to
+    eigvalsh, which passes it; the caller's matrices are not shifted."""
+    effects = np.stack([np.eye(9, dtype=complex), 3.0 * np.eye(9, dtype=complex)])
+    before = effects.copy()
+    log = cli.InvariantLog()
+    log.add_states((), effects)
+    assert log.ok and log.eigvalsh_stacks == 1 and log.min_eig == 0.0
+    assert np.array_equal(effects, before)
+    log.add_states((), effects[:1])
+    assert log.eigvalsh_stacks == 1
 
 
 def test_exit_codes(tmp_path):
@@ -594,7 +680,8 @@ def test_trajectories_command(tmp_path):
     # the volatile lines close the manifest
     n_volatile = sum(k.startswith(cli.VOLATILE_KEYS) for k in keys)
     assert all(k.startswith(cli.VOLATILE_KEYS) for k in keys[-n_volatile:])
-    assert n_volatile == 12
+    assert n_volatile == 13
+    assert entries["counter.audit.eigvalsh_stacks"] == "0"
 
 
 @pytest.mark.parametrize("setting, recorded", [(None, "1"), ("2", "2")])

@@ -1,5 +1,6 @@
 """Property tests across parameter space: log-uniform draws of the five model
-rates within three decades either side of the reference set."""
+rates within three decades either side of the reference set, and drawn
+Hermitian stacks near the run audit's positivity floor."""
 
 import tempfile
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from rydcorr import ModelParams, build_liouvillian, cli, g2, g3, steady_state
 from rydcorr.algebra import vectorize
 from rydcorr.errors import RydcorrError
-from rydcorr.liouville import POSITIVITY_FLOOR, STEADY_RESIDUAL_TOL, _coordinates
+from rydcorr.liouville import POSITIVITY_FLOOR, STATE_EIG_FLOOR, STEADY_RESIDUAL_TOL, _coordinates
 
 from conftest import REF, series_rel_close
 
@@ -70,3 +71,32 @@ def test_exchange_symmetry(drawn):
         return
     for a, b in pairs:
         assert series_rel_close(a.values, b.values, rtol=1e-8) < 1.0
+
+
+# a smallest eigenvalue within 1e-8 of the audit's floor, either side, but
+# at least 1e-12 from it: far beyond the rounding of eigvalsh on entries <= 1
+near_floor = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-12.0, -8.0)).map(
+    lambda drawn: STATE_EIG_FLOOR + drawn[0] * 10.0 ** drawn[1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(near_floor, min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_audit_verdict_matches_the_eigenvalue_rule(least, seed):
+    """Stacks U diag(l) U^H with entries <= 1 and each smallest eigenvalue near
+    the floor: the audit's verdict, Cholesky test and eigvalsh fallback, is
+    the rule eigvalsh(stack).min() >= STATE_EIG_FLOOR, whether the stack comes
+    as matrices or as coordinate rows."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for lam in least:
+        u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        rest = rng.uniform(0.0, 1.0, 8)
+        m = (u * np.r_[lam, rest]) @ u.conj().T
+        stack.append((m + m.conj().T) / 2)
+    stack = np.array(stack)
+    expected = bool(np.linalg.eigvalsh(stack).min() >= STATE_EIG_FLOOR)
+    assert np.abs(stack).max() <= 1.0
+    as_matrices, as_rows = cli.InvariantLog(), cli.InvariantLog()
+    as_matrices.add_states((), stack)
+    as_rows.add_coordinates(_coordinates(stack.swapaxes(1, 2).reshape(-1, 81)), effects=True)
+    assert as_matrices.ok is as_rows.ok is expected
