@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +51,7 @@ __all__ = [
     "kron",
     "expm",
     "eig",
+    "check_condition",
     "vectorize",
     "devectorize",
     "to_hermitian_basis",
@@ -83,10 +84,12 @@ def _require_square(a, name="matrix"):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (descending real part) with the right eigenvectors as columns."""
+    """Eigenvalues (descending real part) with the right eigenvectors as
+    columns, and the singular values of the eigenvector matrix."""
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
+    vector_singular_values: np.ndarray = field(repr=False)
 
 
 def kron(a, b):
@@ -113,7 +116,7 @@ def expm(m):
     return full
 
 
-def eig(m):
+def eig(m, *, whole=None):
     """Eigendecomposition sorted by descending real part.
 
     Verifies the residual ``||M v - w v|| <= 1e-8 ||M|| ||v||`` for every pair
@@ -122,27 +125,47 @@ def eig(m):
     number > 1e12). For a real M the condition number comes from a real SVD
     (:func:`_real_eigenvector_columns`), at about 0.7 of the complex one's
     cost on 81x81.
+
+    For M a diagonal block of a block-diagonal matrix, pass that matrix as
+    ``whole``: each residual is then bounded by its norm, as if the pair were
+    one of its own, and the caller hands every block's decomposition to
+    :func:`check_condition` at once, for the condition number of the whole.
     """
     a = _as_matrix(m, keep_real=True)
     _require_square(a)
-    w, vr = scipy.linalg.eig(a)
+    w, vr = scipy.linalg.eig(a, check_finite=False)  # _as_matrix checked
     order = np.lexsort((-w.imag, -w.real))
     w = w[order]
     vr = vr[:, order]
 
-    cond = np.linalg.cond(vr if np.iscomplexobj(a) else _real_eigenvector_columns(w, vr))
-    if cond > EIG_CONDITION_LIMIT:
-        raise NearDefectiveError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds {EIG_CONDITION_LIMIT:.1e}"
-        )
-    scale = float(np.max(np.abs(a))) or 1.0
-    unit = a / scale
-    residual = np.linalg.norm(unit @ vr - vr * (w / scale)[np.newaxis, :], axis=0)
-    bound = EIG_RESIDUAL_RTOL * max(np.linalg.norm(unit), 1e-300) * np.linalg.norm(vr, axis=0)
+    cols = vr if np.iscomplexobj(a) else _real_eigenvector_columns(w, vr)
+    dec = EigenDecomposition(eigenvalues=w, right_eigenvectors=vr,
+                             vector_singular_values=np.linalg.svd(cols, compute_uv=False))
+    check_condition(dec)
+    ref = a if whole is None else _as_matrix(whole, keep_real=True)
+    scale = float(np.max(np.abs(ref))) or 1.0
+    residual = np.linalg.norm((a / scale) @ vr - vr * (w / scale)[np.newaxis, :], axis=0)
+    norm = max(np.linalg.norm(ref / scale), 1e-300)
+    bound = EIG_RESIDUAL_RTOL * norm * np.linalg.norm(vr, axis=0)
     if np.any(residual > bound):
         worst = float(np.max(residual / np.maximum(bound, 1e-300)))
         raise AccuracyNotMetError(f"eigenpair residual exceeds contract by factor {worst:.3e}")
-    return EigenDecomposition(eigenvalues=w, right_eigenvectors=vr)
+    return dec
+
+
+def check_condition(*decompositions):
+    """Refuse near-defective eigenvectors: the condition number of the block
+    diagonal of the decompositions' eigenvector matrices, the ratio of their
+    largest to their smallest singular value taken together, must not exceed
+    EIG_CONDITION_LIMIT. It is at least each block's own, which :func:`eig`
+    has tested. A singular one has condition number inf."""
+    svals = np.concatenate([d.vector_singular_values for d in decompositions])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = svals.max() / svals.min()
+    if not cond <= EIG_CONDITION_LIMIT:  # NaN (0/0) included
+        raise NearDefectiveError(
+            f"eigenvector matrix condition number {cond:.3e} exceeds {EIG_CONDITION_LIMIT:.1e}"
+        )
 
 
 def _real_eigenvector_columns(w, vr):

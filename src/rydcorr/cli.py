@@ -601,16 +601,21 @@ def _run_spectrum(cfg: argparse.Namespace, out: Path):
     _write_lines(out, [f"# kind=spectrum, params={_params_echo(cfg.params)}", "index,re,im", *rows])
     w = spec.eigenvalues
     zero_modes = spec.stationary_count
+    zero_symmetric, zero_antisymmetric = spec.stationary_by_parity
     max_real = float(w.real.max())
     mode0 = algebra.devectorize(spec.right_modes[:, 0], DIM_PAIR, DIM_PAIR)
     steady_match = float(np.max(np.abs(mode0 - rho)))
     entries = [
         ("command", "spectrum"),
         ("stationary_modes", str(zero_modes)),
+        ("stationary_modes_symmetric", str(zero_symmetric)),
+        ("stationary_modes_antisymmetric", str(zero_antisymmetric)),
         ("max_real_part", _fmt(max_real)),
         # a generator above HERMITIAN_BASIS_RTOL is refused when built; below
         # it, the real matrix gives eigenvalues closed under conjugation exactly
         ("hermitian_basis_residue", _fmt(lv.hermitian_residue)),
+        # likewise above PARITY_RTOL: below it, the spectrum is the two sectors'
+        ("parity_residue", _fmt(lv.parity_residue)),
         ("zero_mode_vs_steady_state", _fmt(steady_match)),
     ]
     ok = (zero_modes == 1 and max_real <= STATIONARY_EIG_TOL

@@ -21,10 +21,11 @@ Hermitian basis of ``algebra`` (E_kk, (E_kl + E_lk)/sqrt2, i(E_kl - E_lk)/sqrt2)
 each is a real matrix, ``Liouvillian.real`` = U^H L U (Alicki & Lendi,
 Quantum Dynamical Semigroups and Applications, LNP 286, 1987). The adjoint's
 is the exact transpose of the forward one. Every exponential, the
-steady-state solve, the spectrum and every march step run on it in real
-arithmetic. A march carries its rows as real coordinates, shape
-(rows, 81): every insertion the correlators use maps Hermitian matrices to
-Hermitian matrices, so every row is Hermitian. Conversions from and to column
+steady-state solve, the spectrum and every march step run in real
+arithmetic, the first three on its parity blocks (below). A march carries
+its rows as real coordinates, shape (rows, 81): every insertion the
+correlators use maps Hermitian matrices to Hermitian matrices, so every row
+is Hermitian. Conversions from and to column
 stacking happen once per chain or march (its start vector, the insertion
 superoperators, the readout functional), never per propagator: each real
 exponential sandwiched back as U P U^H for use on column-stacked rows adds
@@ -33,15 +34,34 @@ route-equivalence criterion's worst bound fraction from 0.19 (complex
 kernel) to 0.40, where the real march gives 0.14. Public inputs and
 outputs stay column-stacked.
 
+Both atoms share every drive and rate, so L commutes with their exchange
+X -> P X P, which in the Hermitian basis is a signed permutation. Its +1 and
+-1 eigenspaces have 45 and 36 coordinates, and in an orthogonal basis
+Q = [Q+ | Q-] adapted to them (``_parity_basis``, built on the first
+generator) the real matrix is block diagonal up to basis rounding
+(Baumgartner & Narnhofer, J. Phys. A 41, 395303, 2008; Buca & Prosen, New
+J. Phys. 14, 073007, 2012). Each generator keeps the blocks Q+^T real Q+
+and Q-^T real Q- (``Liouvillian.sectors``) and refuses coupling between
+them beyond PARITY_RTOL of its largest entry. The dense kernels of a
+parameter point run on the blocks: every exponential, the steady state's
+SVD and bordered solve, and the spectrum's eigendecomposition. Rows stay
+in the Hermitian basis: a count on one atom does not commute with the
+swap, so a row leaves its sector at every insertion, and a single row
+steps faster through one 81-wide product than through two blocks. Each
+propagator is handed back as one real 81x81 matrix, the sum over the two
+blocks B of Q exp(B dt) Q^T.
+
 The steady state is solved exactly from the bordered linear system obtained
 by replacing the redundant first row of L (a diagonal-population row, which
 is a linear combination of the others by trace preservation) with the trace
-functional.
+functional. The stationary state is swap-even, so it is solved on the even
+block.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import weakref
 from collections import OrderedDict
@@ -56,7 +76,7 @@ from .errors import (
     NegativeDurationError,
     NotPositiveError,
 )
-from .model import DIM_PAIR, ModelParams, jump_operators, pair_hamiltonian
+from .model import DIM_PAIR, ModelParams, atom_swap_index, jump_operators, pair_hamiltonian
 
 __all__ = [
     "Liouvillian",
@@ -82,6 +102,12 @@ POSITIVITY_FLOOR = -1e-8
 # imaginary residue of U^H L U, relative to ||L||, above which L is refused as
 # not Hermiticity-preserving (the built generators measure 0)
 HERMITIAN_BASIS_RTOL = 1e-12
+# largest entry of the Hermitian-basis generator coupling its two exchange
+# parity sectors, relative to its largest entry, above which it is refused as
+# not symmetric under the atom swap; the built generators measure basis
+# rounding only: 1.8e-16 against max|L| = 3.5 (5e-17) at the reference
+# point, and at most 1.4e-16 over 300 points a decade around it
+PARITY_RTOL = 1e-13
 # exponentials a generator keeps, least recently used first out; a figure
 # recipe needs at most 16 (fig8)
 PROPAGATOR_CACHE_SIZE = 64
@@ -100,6 +126,38 @@ STATE_EIG_FLOOR = -1e-9
 STATIONARY_EIG_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_basis() -> tuple[np.ndarray, np.ndarray]:
+    """Q+ and Q-: orthonormal real bases of the Hermitian-basis coordinates
+    even and odd under the atom swap X -> P X P, 45 and 36 columns wide.
+
+    In the Hermitian basis the swap is a signed permutation S, so each column
+    is a coordinate e_a that S fixes up to its sign, or (e_a +- s e_b)/sqrt2
+    for a pair S e_a = s e_b; every entry is 0, +-1 or +-1/sqrt2. Coordinates
+    are taken in order, so e_0, the |11><11| population that the steady
+    state's bordered system replaces by the trace, is the first column of Q+.
+    """
+    swap = np.zeros((DIM_PAIR, DIM_PAIR))
+    swap[atom_swap_index(), np.arange(DIM_PAIR)] = 1.0
+    # vec(P X P) = kron(P^T, P) vec(X), and P = P^T; the basis change rounds
+    # S's entries, which are exactly +-1 and 0
+    signed = np.rint(algebra.superoperator_in_hermitian_basis(np.kron(swap, swap)).real)
+    even, odd = [], []
+    unit, weight = np.eye(DIM_SUPER), math.sqrt(0.5)
+    for a in range(DIM_SUPER):
+        b = int(np.flatnonzero(signed[:, a])[0])
+        sign = signed[b, a]
+        if b == a:
+            (even if sign > 0 else odd).append(unit[a])
+        elif a < b:
+            even.append((unit[a] + sign * unit[b]) * weight)
+            odd.append((unit[a] - sign * unit[b]) * weight)
+    sectors = tuple(np.array(cols).T for cols in (even, odd))
+    for q in sectors:
+        q.flags.writeable = False
+    return sectors
+
+
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
     """An 81x81 generator with its parameters and a per-instance propagator cache.
@@ -107,18 +165,24 @@ class Liouvillian:
     ``matrix`` acts on column-stacked 9x9 matrices; ``real`` is the same
     generator in the orthonormal Hermitian basis, and ``hermitian_residue``
     the largest imaginary entry of U^H L U relative to ||L||, the measure of
-    how far L is from preserving Hermiticity. Both are derived from
-    ``matrix``. The adjoint's real matrix is computed from L = matrix^H and
-    transposed, so it is exactly the forward generator's transpose. The
-    generator also keeps, in ``_cache``, its steady state, its derived
-    adjoint and the last chain ``_kept_chain`` marched on it in each slot.
+    how far L is from preserving Hermiticity. ``sectors`` holds the blocks
+    Q+^T real Q+ and Q-^T real Q- of the swap-even and swap-odd coordinates
+    (:func:`_parity_basis`), and ``parity_residue`` the largest entry of
+    Q^T real Q outside them relative to max|real|. All are derived from
+    ``matrix``. The adjoint's real matrix and blocks are computed from
+    L = matrix^H and transposed, so they are exactly the forward generator's
+    transposes. The generator also keeps, in ``_cache``, its steady state,
+    its derived adjoint and the last chain ``_kept_chain`` marched on it in
+    each slot.
     """
 
     matrix: np.ndarray = field(repr=False)
     params: ModelParams
     adjoint: bool = False
     real: np.ndarray = field(init=False, repr=False)
+    sectors: tuple = field(init=False, repr=False)
     hermitian_residue: float = field(init=False)
+    parity_residue: float = field(init=False)
     _propagators: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -137,23 +201,46 @@ class Liouvillian:
         if residue > HERMITIAN_BASIS_RTOL:
             raise ValueError(f"generator does not preserve Hermiticity: U^H L U has "
                              f"imaginary residue {residue:.3e} of ||L||")
-        real = np.ascontiguousarray(basis.real.T if self.adjoint else basis.real)
-        for a in (m, real):
+        real = basis.real
+        even, odd = _parity_basis()
+        even_rows, odd_rows = even.T @ real, odd.T @ real
+        sectors = (even_rows @ even, odd_rows @ odd)
+        coupling = max(float(np.max(np.abs(even_rows @ odd))),
+                       float(np.max(np.abs(odd_rows @ even))))
+        largest = float(np.max(np.abs(real)))
+        if largest > 0:
+            coupling /= largest
+        if not coupling <= PARITY_RTOL:
+            raise ValueError(f"generator is not symmetric under the atom swap: its parity "
+                             f"sectors couple at {coupling:.3e} of max|L|")
+        if self.adjoint:
+            real, sectors = real.T, tuple(b.T for b in sectors)
+        real = np.ascontiguousarray(real)
+        sectors = tuple(np.ascontiguousarray(b) for b in sectors)
+        for a in (m, real, *sectors):
             a.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "real", real)
+        object.__setattr__(self, "sectors", sectors)
         object.__setattr__(self, "hermitian_residue", residue)
+        object.__setattr__(self, "parity_residue", coupling)
 
     def propagator(self, dt: float) -> np.ndarray:
         """exp(L dt) in the Hermitian basis (real), cached per duration so
-        uniform grids reuse one exponential."""
+        uniform grids reuse one exponential.
+
+        Taken block by block, as Q+ exp(B+ dt) Q+^T + Q- exp(B- dt) Q-^T
+        for the blocks B of ``sectors``: two exponentials of 45 and 36 rows,
+        each with its own self-check, cost about half of one of 81."""
         if dt < 0:
             raise NegativeDurationError(f"duration must be >= 0, got {dt}")
         key = float(dt)
         cache = self._propagators
         prop = cache.get(key)
         if prop is None:
-            prop = algebra.expm(self.real * key)
+            (even, odd), (l_even, l_odd) = _parity_basis(), self.sectors
+            prop = (even @ algebra.expm(l_even * key) @ even.T
+                    + odd @ algebra.expm(l_odd * key) @ odd.T)
             prop.flags.writeable = False
             cache[key] = prop
             if len(cache) > PROPAGATOR_CACHE_SIZE:
@@ -176,13 +263,20 @@ def _params_key(p: ModelParams) -> tuple:
 
 
 def build_liouvillian(p: ModelParams) -> Liouvillian:
-    """Forward generator of the master equation."""
+    """Forward generator of the master equation, assembled as
+
+        L = I (x) K + conj(K) (x) I + sum_c conj(C_c) (x) C_c,
+        K = -i H - sum_c C_c^+ C_c / 2,
+
+    eight Kronecker products: vec(K X) = (I (x) K) vec X, and X K^+ is
+    (conj(K) (x) I) vec X."""
     h = pair_hamiltonian(p).matrix
+    jumps = [op.matrix for op in jump_operators(p)]
+    k = -1j * h - 0.5 * sum(c.conj().T @ c for c in jumps)
     eye = np.eye(DIM_PAIR, dtype=complex)
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c in (op.matrix for op in jump_operators(p)):
-        cdc = c.conj().T @ c
-        gen += np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+    gen = np.kron(eye, k) + np.kron(k.conj(), eye)
+    for c in jumps:
+        gen += np.kron(c.conj(), c)
     lv = Liouvillian(gen, params=p, adjoint=False)
     _FORWARD[_params_key(p)] = lv
     return lv
@@ -201,9 +295,10 @@ def build_adjoint_liouvillian(p: ModelParams) -> Liouvillian:
 
 def derive_adjoint(lv: Liouvillian) -> Liouvillian:
     """The adjoint of a forward generator, derived from it without a second
-    build or basis change: ``matrix`` is lv.matrix^H and ``real`` lv.real^T,
-    the same bits ``Liouvillian(lv.matrix^H, adjoint=True)`` computes, since
-    it conjugate-transposes its matrix back to lv.matrix before the basis
+    build or basis change: ``matrix`` is lv.matrix^H, ``real`` lv.real^T and
+    each of ``sectors`` the transpose of lv's, the same bits
+    ``Liouvillian(lv.matrix^H, adjoint=True)`` computes, since it
+    conjugate-transposes its matrix back to lv.matrix before the basis
     change. The forward generator keeps it, so every call on lv returns the
     same adjoint. It has its own propagator cache, so the past-quantum-state
     route still takes the adjoint's own exponentials."""
@@ -212,11 +307,15 @@ def derive_adjoint(lv: Liouvillian) -> Liouvillian:
     adj = lv._cache.get("adjoint")
     if adj is not None:
         return adj
-    adj = copy.copy(lv)  # params and hermitian_residue carry over
+    adj = copy.copy(lv)  # params and both residues carry over
     for name, value in (("matrix", lv.matrix.conj().T), ("real", lv.real.T)):
         value = np.ascontiguousarray(value)
         value.flags.writeable = False
         object.__setattr__(adj, name, value)
+    sectors = tuple(np.ascontiguousarray(b.T) for b in lv.sectors)
+    for b in sectors:
+        b.flags.writeable = False
+    object.__setattr__(adj, "sectors", sectors)
     for name, value in (("adjoint", True), ("_propagators", OrderedDict()), ("_cache", {})):
         object.__setattr__(adj, name, value)
     lv._cache["adjoint"] = adj
@@ -344,15 +443,18 @@ def _bordered_residual(lv: Liouvillian, x: np.ndarray) -> np.ndarray:
 def steady_state(lv: Liouvillian) -> np.ndarray:
     """Unique trace-one stationary density matrix of the forward generator.
 
-    Solved in the Hermitian basis from the bordered system (first row of L
-    replaced by the trace functional) with one step of iterative refinement
-    on a residual summed in double-double. The null space must be
-    one-dimensional first: the second-smallest singular value must stand
+    Solved on the swap-even block of ``sectors`` from the bordered system
+    (first row replaced by the trace functional) with one step of iterative
+    refinement on a residual summed in double-double, taken on the whole
+    generator.
+    The null space must be one-dimensional first: over the singular values
+    of both sectors, which are those of L, the second-smallest must stand
     above STEADY_GAP times the smallest and above the rounding level of L,
     81 eps ||L||_2 (numpy's rank tolerance). So at v12 = 1e7, where
-    sigma_max is 1e7, the 2e-4 mode stays out of the null space. A
-    non-finite norm or residual is refused. The adjoint generator has no
-    stationary state, and is refused.
+    sigma_max is 1e7, the 2e-4 mode stays out of the null space. A refusal
+    names the null dimension of each sector. A non-finite norm, or a
+    residual ||L x|| on the whole generator over STEADY_RESIDUAL_TOL, is
+    refused. The adjoint generator has no stationary state, and is refused.
     """
     if lv.adjoint:
         raise ValueError("steady_state needs the forward generator")
@@ -360,31 +462,41 @@ def steady_state(lv: Liouvillian) -> np.ndarray:
     if cached is not None:
         return cached.copy()
 
-    mat = lv.real
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if not np.isfinite(svals[0]):
-        raise DegenerateSteadyStateError(f"generator norm is {svals[0]}")
-    # the singular values within STEADY_GAP of the smallest or the rounding of L
-    floor = max(STEADY_GAP * svals[-1], DIM_SUPER * np.finfo(float).eps * svals[0])
-    null_dim = int(np.sum(svals <= floor))
-    if null_dim != 1:
+    svals = [np.linalg.svd(b, compute_uv=False) for b in lv.sectors]
+    largest = float(np.max(np.concatenate(svals)))  # NaN if any is
+    if not np.isfinite(largest):
+        raise DegenerateSteadyStateError(f"generator norm is {largest}")
+    # the singular values within STEADY_GAP of the smallest or the rounding of
+    # L, over both sectors: those of L itself
+    smallest = min(float(s[-1]) for s in svals)
+    floor = max(STEADY_GAP * smallest, DIM_SUPER * np.finfo(float).eps * largest)
+    null_dims = [int(np.sum(s <= floor)) for s in svals]
+    if sum(null_dims) != 1:
         raise DegenerateSteadyStateError(
-            f"generator null space has dimension {null_dim}, expected 1"
+            f"generator null space has dimension {sum(null_dims)} ({null_dims[0]} "
+            f"symmetric, {null_dims[1]} antisymmetric), expected 1"
         )
 
-    # the trace reads the diagonal coordinates, which sit where vec puts the diagonal
+    # the stationary state is swap-even, so it is solved on the even block,
+    # whose first coordinate is the first of the Hermitian basis (e_0): the
+    # trace, which reads the diagonal coordinates where vec puts the
+    # diagonal, replaces that row, and has no odd part
+    even = _parity_basis()[0]
     trace_row = np.zeros(DIM_SUPER)
     trace_row[:: DIM_PAIR + 1] = 1.0
-    bordered = mat.copy()
-    bordered[0, :] = trace_row
-    rhs = np.zeros(DIM_SUPER)
+    bordered = lv.sectors[0].copy()
+    bordered[0, :] = trace_row @ even
+    rhs = np.zeros(len(bordered))
     rhs[0] = 1.0
     lu = scipy.linalg.lu_factor(bordered)
-    x = scipy.linalg.lu_solve(lu, rhs)
-    x += scipy.linalg.lu_solve(lu, _bordered_residual(lv, x))
+    y = scipy.linalg.lu_solve(lu, rhs)
+    # Q+^T keeps the residual's row 0 (the trace) as row 0, and takes the
+    # other rows, those of L x, to the rows of the even block times y
+    y += scipy.linalg.lu_solve(lu, even.T @ _bordered_residual(lv, even @ y))
+    x = even @ y
     x /= trace_row @ x
 
-    residual = np.linalg.norm(mat @ x)
+    residual = np.linalg.norm(lv.real @ x)
     if not residual <= STEADY_RESIDUAL_TOL:  # NaN included
         raise DegenerateSteadyStateError(
             f"stationary solve residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.1e}"
@@ -444,22 +556,38 @@ class LiouvillianSpectrum:
     ``eigenvalues`` are sorted by descending real part, so the stationary mode
     comes first; ``right_modes`` holds vectorized matrices as columns, with
     the stationary mode scaled to devectorize to the trace-one steady state
-    when it is unique.
+    when it is unique; ``parities`` holds each mode's sign under the atom
+    swap, +1 (symmetric) or -1 (antisymmetric).
     """
 
     eigenvalues: np.ndarray
     right_modes: np.ndarray = field(repr=False)
+    parities: np.ndarray = field(repr=False)
 
     @property
     def stationary_count(self) -> int:
         return int(np.sum(np.abs(self.eigenvalues) <= STATIONARY_EIG_TOL))
 
+    @property
+    def stationary_by_parity(self) -> tuple[int, int]:
+        """Stationary modes in the symmetric and in the antisymmetric sector."""
+        zero = np.abs(self.eigenvalues) <= STATIONARY_EIG_TOL
+        return int(np.sum(zero & (self.parities > 0))), int(np.sum(zero & (self.parities < 0)))
+
 
 def spectrum(lv: Liouvillian) -> LiouvillianSpectrum:
-    """Eigenvalues and right modes of the generator, from the real matrix."""
-    dec = algebra.eig(lv.real)
-    w = dec.eigenvalues
-    vr = algebra.from_hermitian_basis(dec.right_eigenvectors.T).T
+    """Eigenvalues and right modes of the generator, from its two parity
+    sectors. Each residual is bounded by the norm of the whole real matrix,
+    and the eigenvector condition number is taken over both sectors' modes
+    together, as one decomposition of the whole would be."""
+    decs = [algebra.eig(b, whole=lv.real) for b in lv.sectors]
+    algebra.check_condition(*decs)
+    w = np.concatenate([d.eigenvalues for d in decs])
+    coords = np.hstack([q @ d.right_eigenvectors for q, d in zip(_parity_basis(), decs)])
+    parities = np.repeat([1, -1], [len(d.eigenvalues) for d in decs])
+    order = np.lexsort((-w.imag, -w.real))
+    w, coords, parities = w[order], coords[:, order], parities[order]
+    vr = algebra.from_hermitian_basis(coords.T).T
 
     zero = np.abs(w) <= STATIONARY_EIG_TOL
     if int(np.sum(zero)) == 1 and not lv.adjoint:
@@ -468,7 +596,7 @@ def spectrum(lv: Liouvillian) -> LiouvillianSpectrum:
         tr = np.trace(rho0)
         if abs(tr) > 1e-14:
             vr[:, k] = vr[:, k] / tr
-    return LiouvillianSpectrum(eigenvalues=w, right_modes=vr)
+    return LiouvillianSpectrum(eigenvalues=w, right_modes=vr, parities=parities)
 
 
 def _trace_deviation(m: np.ndarray) -> np.ndarray:

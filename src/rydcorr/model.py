@@ -34,6 +34,7 @@ __all__ = [
     "single_atom_hamiltonian",
     "pair_hamiltonian",
     "jump_operators",
+    "atom_swap_index",
 ]
 
 DIM_ATOM = 3
@@ -166,3 +167,10 @@ def jump_operators(p: ModelParams) -> list[PairOperator]:
         ops.append(PairOperator(c2, label=f"C2^({j})"))
         ops.append(PairOperator(c3, label=f"C3^({j})"))
     return ops
+
+
+def atom_swap_index() -> np.ndarray:
+    """The exchange of the two atoms, |k1 k2> -> |k2 k1>, as a permutation of
+    pair indices: entry i is the index of the state that state i becomes."""
+    i = np.arange(DIM_PAIR)
+    return DIM_ATOM * (i % DIM_ATOM) + i // DIM_ATOM

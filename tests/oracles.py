@@ -4,8 +4,9 @@ Each is written the plain way, one matrix product at a time, so that it
 shares no kernel with the code it checks: the pointwise correlator against
 the batched insertion kernel of ``rydcorr.correlators``, the dark state and
 the atom swap against the model's Hamiltonian, steady state and jump
-operators, and the Hermitian operator basis written out from its
-definition against ``rydcorr.algebra``'s index arithmetic.
+operators, the generator term by term against ``liouville``'s assembly,
+and the Hermitian operator basis written out from its definition against
+``rydcorr.algebra``'s index arithmetic.
 """
 
 import numpy as np
@@ -64,6 +65,19 @@ def atom_swap():
         for k2 in range(DIM_ATOM):
             s[DIM_ATOM * k2 + k1, DIM_ATOM * k1 + k2] = 1.0
     return s
+
+
+def lindblad_generator(h, jumps):
+    """The column-stacked generator of Hamiltonian h and jump operators
+    ``jumps``, term by term in 2 + 4 per jump Kronecker products:
+    -i (I (x) H - H^T (x) I), and for each jump operator C
+    conj(C) (x) C - (I (x) C^+C + (C^+C)^T (x) I) / 2."""
+    eye = np.eye(DIM_PAIR)
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for c in jumps:
+        cdc = c.conj().T @ c
+        gen += np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+    return gen
 
 
 def single_atom_steady_state(p, digits=30):

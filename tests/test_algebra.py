@@ -131,6 +131,17 @@ def test_eig_flags_defective():
         algebra.eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_condition_of_blocks_is_taken_together():
+    """Eigenvector singular values of 1 and 2e-12 (cond 5e11) and of 3 and 1
+    (cond 3) pass apart; their block diagonal has cond 1.5e12 and is refused."""
+    decs = [algebra.EigenDecomposition(np.ones(2), np.eye(2), np.array(s))
+            for s in ([1.0, 2e-12], [3.0, 1.0])]
+    for dec in decs:
+        algebra.check_condition(dec)
+    with pytest.raises(NearDefectiveError, match="1.500e"):
+        algebra.check_condition(*decs)
+
+
 def eigenvector_conditions(m):
     """cond of a real matrix's complex eigenvectors, and of their real columns."""
     w, vr = scipy.linalg.eig(m)

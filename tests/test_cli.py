@@ -14,7 +14,7 @@ from rydcorr.errors import (
     UnknownFigureError,
     UnknownKeyError,
 )
-from rydcorr.liouville import grid_steps
+from rydcorr.liouville import PARITY_RTOL, grid_steps
 from rydcorr.model import sigma
 
 
@@ -397,11 +397,14 @@ def test_extreme_rabi_frequencies_exit_cleanly(tmp_path, argv, code):
     (["g2", "--v12", "1e8", "--tau-max", "1"], 0),
     (["steady", "--omega2", "0", "--gamma2", "0", "--gammaph", "0"], 3),
 ])
-def test_stiff_generator_runs_and_degenerate_one_exits_3(tmp_path, argv, code):
+def test_stiff_generator_runs_and_degenerate_one_exits_3(tmp_path, argv, code, capsys):
     """A blockade of v12 = 1e7 or 1e8 is stiff but well posed: its steady state
     is unique. Without omega2, gamma2 and gamma_ph each atom has a second
-    stationary state, and the pair four."""
+    stationary state, and the pair four: three symmetric under the swap of
+    the atoms and one antisymmetric, which the refusal names."""
     assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == code
+    if code == 3:
+        assert "(3 symmetric, 1 antisymmetric)" in capsys.readouterr().err
 
 
 def refuse_generators(monkeypatch):
@@ -647,6 +650,10 @@ def test_steady_and_spectrum_commands(tmp_path):
     assert cli.main(["spectrum", "--out", str(spec_out)]) == 0
     manifest = (tmp_path / "spectrum.manifest").read_text()
     assert "stationary_modes = 1" in manifest
+    assert "stationary_modes_symmetric = 1" in manifest
+    assert "stationary_modes_antisymmetric = 0" in manifest
+    residue = float(manifest.split("parity_residue = ")[1].split()[0])
+    assert 0 <= residue <= PARITY_RTOL
     assert "invariant.spectrum = pass" in manifest
     rows = spec_out.read_text().splitlines()[2:]
     assert len(rows) == 81

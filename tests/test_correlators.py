@@ -429,6 +429,18 @@ def test_amplitude_ratio_definition(lv, params):
     assert np.all(hi.values >= mean.values) and np.all(mean.values >= lo.values)
 
 
+def test_amplitude_ratio_definition_on_fig8_grid(lv, params):
+    """The definition above on all 103 values of fig8's T grid, at criterion
+    06's rule: 1e-8 relative, on a floor of 1e-5 of the series peak. The
+    three-T check's 1e-12 without a floor does not hold on this grid, where
+    the marched and per-T ratios differ by a few 1e-12 at values small
+    against the peak."""
+    period = 2 * np.pi / params.rabi
+    got = np.array([s.values for s in amplitude_ratio(lv, 1, 2, 2, THETA, FIG8_T)])
+    for g, want in zip(got, ratio_per_T(lv, FIG8_T, period, period / 40.0)):
+        assert series_rel_close(g, want, rtol=1e-8) < 1.0
+
+
 def ratio_per_T(lv, Ts, window, dtau):
     """Oracle for amplitude_ratio: one g25 window per T, as the definition reads."""
     g2_at = g2(lv, 1, 2, Ts).values

@@ -35,7 +35,14 @@ from rydcorr.liouville import (
 )
 from rydcorr.model import jump_operators, pair_hamiltonian, sigma
 
-from oracles import conjugation_defect, dark_state, hermitian_basis_unitary, single_atom_steady_state
+from oracles import (
+    atom_swap,
+    conjugation_defect,
+    dark_state,
+    hermitian_basis_unitary,
+    lindblad_generator,
+    single_atom_steady_state,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -75,15 +82,6 @@ def adjoint_direct(p, x):
 def apply_generator(lv, x):
     """The generator's action on a 9x9 matrix: lv.matrix @ vec(x), devectorized."""
     return devectorize(lv.matrix @ vectorize(x), 9, 9)
-
-
-def assemble(h, cs):
-    eye = np.eye(9)
-    g = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c in cs:
-        cdc = c.conj().T @ c
-        g += np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
-    return g
 
 
 def test_action_matches_direct_commutator_form(lv, params):
@@ -142,8 +140,8 @@ def test_dephasing_form_equivalence(params):
     shifted = list(literal)
     for j, idx in ((1, 2), (2, 5)):
         shifted[idx] = 2 * np.sqrt(params.gamma_ph) * sigma(j, 3, 3).matrix
-    a = assemble(h, literal)
-    b = assemble(h, shifted)
+    a = lindblad_generator(h, literal)
+    b = lindblad_generator(h, shifted)
     assert np.max(np.abs(a - b)) < 1e-12
     assert np.max(np.abs(a - build_liouvillian(params).matrix)) < 1e-14
 
@@ -263,8 +261,10 @@ def test_undriven_undamped_rydberg_level_raises_degenerate_steady_state():
     """With omega2 = 0 and neither decay nor dephasing of |3>, each atom keeps
     |3> apart from its driven |1>-|2> pair: four stationary states, no unique one."""
     lv0 = build_liouvillian(ModelParams(omega2=0.0, gamma2=0.0, gamma_ph=0.0))
-    with pytest.raises(DegenerateSteadyStateError, match="dimension 4"):
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"dimension 4 \(3 symmetric, 1 antisymmetric\)"):
         steady_state(lv0)
+    assert spectrum(lv0).stationary_by_parity == (3, 1)
 
 
 @pytest.mark.parametrize("v12", [1e7, 1e8, 1e10])
@@ -344,9 +344,13 @@ def test_derived_adjoint_is_the_built_one_bit_for_bit(lv):
     built = Liouvillian(lv.matrix.conj().T, params=lv.params, adjoint=True)
     adj = derive_adjoint(lv)
     assert adj.adjoint and adj.params is lv.params
-    for a, b in ((adj.matrix, built.matrix), (adj.real, built.real)):
+    for a, b in ((adj.matrix, built.matrix), (adj.real, built.real),
+                 *zip(adj.sectors, built.sectors)):
         assert np.array_equal(a, b) and a.flags.c_contiguous and not a.flags.writeable
+    for a, b in zip(adj.sectors, lv.sectors):
+        assert np.array_equal(a, b.T)
     assert adj.hermitian_residue == built.hermitian_residue
+    assert adj.parity_residue == built.parity_residue == lv.parity_residue
     adj.propagator(0.5)
     assert 0.5 in adj._propagators and adj._propagators is not lv._propagators
     assert adj._cache is not lv._cache
@@ -462,18 +466,19 @@ def test_propagate_matches_scipy_expm_of_the_column_stacked_generator(lv, lv_adj
 
 
 def test_propagator_cache_is_bounded_lru(lv, monkeypatch):
-    """10^4 distinct durations leave at most PROPAGATOR_CACHE_SIZE exponentials;
-    the least recently used goes first, so a duration in steady use stays."""
+    """10^4 distinct durations leave at most PROPAGATOR_CACHE_SIZE propagators;
+    the least recently used goes first, so a duration in steady use stays.
+    Each propagator computed takes two exponentials, one per parity sector."""
     lv = build_liouvillian(lv.params)
     computed = []
     monkeypatch.setattr("rydcorr.liouville.algebra.expm",
-                        lambda m: computed.append(m[0, 0]) or np.eye(81))
+                        lambda m: computed.append(m[0, 0]) or np.eye(len(m)))
     lv.propagator(0.5)
     for n in range(10_000):
         lv.propagator(1.0 + n)
         lv.propagator(0.5)
         assert len(lv._propagators) <= PROPAGATOR_CACHE_SIZE
-    assert len(computed) == 1 + 10_000  # 0.5 was never evicted
+    assert len(computed) == 2 * (1 + 10_000)  # 0.5 was never evicted
     assert 1.0 not in lv._propagators and 10_000.0 in lv._propagators
 
 
@@ -510,3 +515,54 @@ def test_residual_arithmetic_is_error_free():
     terms[-1] = [-math.fsum(col) + 1e-12 * rng.standard_normal() for col in terms[:-1].T]
     exact = np.array([math.fsum(col) for col in terms.T])
     assert np.all(np.abs(_column_sums(terms) - exact) <= 2 * np.spacing(np.abs(exact)))
+
+
+# --- exchange-parity sectors ----------------------------------------------------
+
+def swap_in_hermitian_basis():
+    """X -> P X P on Hermitian-basis coordinates, from the oracle's swap P and
+    basis U: U^H kron(P, P) U, rounded to its exact entries."""
+    u = hermitian_basis_unitary(9)
+    p = atom_swap()
+    s = u.conj().T @ np.kron(p, p) @ u
+    assert np.max(np.abs(s - np.rint(s.real))) < 1e-15
+    return np.rint(s.real)
+
+
+def test_parity_basis_is_the_swap_eigenbasis():
+    """Q+ (45 columns) and Q- (36) are orthonormal eigenvectors of the swap
+    with eigenvalues +1 and -1, every entry 0, +-1 or +-1/sqrt2, and e_0
+    (the |11><11| population) first in Q+."""
+    even, odd = liouville._parity_basis()
+    assert even.shape == (81, 45) and odd.shape == (81, 36)
+    q = np.hstack([even, odd])
+    assert np.max(np.abs(q.T @ q - np.eye(81))) <= 4e-16
+    assert set(np.unique(np.abs(q))) == {0.0, 1.0, math.sqrt(0.5)}
+    assert np.array_equal(even[:, 0], np.eye(81)[0])
+    swap = swap_in_hermitian_basis()
+    assert np.max(np.abs(swap @ even - even)) == 0.0
+    assert np.max(np.abs(swap @ odd + odd)) == 0.0
+
+
+def test_generator_not_symmetric_under_the_swap_is_refused(params):
+    """A pair whose atoms decay at different rates has no parity sectors."""
+    jumps = [c.matrix for c in jump_operators(params)]
+    jumps[0] = 1.5 * jumps[0]  # atom 1's lower transition only
+    gen = lindblad_generator(pair_hamiltonian(params).matrix, jumps)
+    with pytest.raises(ValueError, match="atom swap"):
+        Liouvillian(gen, params=params)
+
+
+def test_steady_state_is_exactly_swap_symmetric(rho_ss):
+    """Solved on the even sector, the steady state is P rho P to the bit."""
+    p = atom_swap()
+    assert np.array_equal(rho_ss, p @ rho_ss @ p)
+
+
+def test_spectrum_names_the_parity_of_each_mode(lv):
+    """Each mode of the merged spectrum is an eigenvector of the swap with
+    its parity; the stationary one is symmetric."""
+    spec = spectrum(lv)
+    swapped = np.kron(atom_swap(), atom_swap()) @ spec.right_modes
+    assert np.max(np.abs(swapped - spec.right_modes * spec.parities)) < 1e-13
+    assert np.sum(spec.parities > 0) == 45 and spec.stationary_by_parity == (1, 0)
