@@ -296,43 +296,45 @@ def hermitian(eigenvalues, seed=5):
     return (m + m.conj().T) / 2
 
 
+def rows_of(matrices):
+    """Coordinate rows of a stack of Hermitian 9x9 matrices (column-stacked)."""
+    return liouville._coordinates(np.swapaxes(matrices, -1, -2).reshape(-1, 81))
+
+
 def test_stack_from_coordinates_is_the_transposed_audit_stack(params):
-    """The gathered stack holds the transposes of the matrices the eigenvalue
-    path builds, within an ulp, with the diagonal (the coordinates themselves)
-    and so the trace deviations to the bit; the chain passes the Cholesky test."""
+    """The gathered stack holds the transposes of the matrices the rows stand
+    for, within an ulp, with the diagonal (the coordinates themselves) and so
+    the trace deviations to the bit; the chain passes the Cholesky test."""
     lv = cli.build_liouvillian(params)
     grid = np.linspace(0.0, 20.0, 638)
     rows = np.array(correlators._count_chain(lv, 1, grid))
     stack = cli._stack_from_coordinates(rows)
-    exact = cli._square(algebra.from_hermitian_basis(rows))
-    ulp = np.finfo(float).eps * np.abs(exact).max()
-    assert np.max(np.abs(stack - exact.swapaxes(1, 2))) <= 4 * ulp
-    assert np.array_equal(np.einsum("nkk->nk", stack), np.einsum("nkk->nk", exact))
+    # a C-order reshape of column-stacked rows gives the transposes
+    transposed = algebra.from_hermitian_basis(rows).reshape(-1, 9, 9)
+    ulp = np.finfo(float).eps * np.abs(transposed).max()
+    assert np.max(np.abs(stack - transposed)) <= 4 * ulp
+    assert np.array_equal(np.einsum("nkk->nk", stack), np.einsum("nkk->nk", transposed))
     log = cli.InvariantLog()
     log.add_coordinates(rows)
-    assert log.max_trace_dev == np.max(liouville.state_residuals(exact)["trace_dev"])
+    assert log.max_trace_dev == np.max(liouville.state_residuals(transposed)["trace_dev"])
     assert log.ok and log.checked == 638 and log.eigvalsh_stacks == 0 and log.min_eig == 0.0
 
 
 # the conversion for eigvalsh makes inf * 1j a NaN, which numpy warns of
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("entry", [(4, 4), (4, 3)], ids=["diagonal", "off-diagonal"])
-@pytest.mark.parametrize("as_rows", [False, True], ids=["matrices", "coordinates"])
-def test_non_finite_effect_fails_the_audit(bad, entry, as_rows):
+# the spoiled coordinate: a diagonal entry's, or one of an off-diagonal pair's
+@pytest.mark.parametrize("entry", [(4, 4), (4, 3)],
+                         ids=["coordinates-diagonal", "coordinates-off-diagonal"])
+def test_non_finite_effect_fails_the_audit(bad, entry):
     """Effects have no trace check, so only positivity can catch a NaN or an
     inf: cholesky factors either into NaNs without raising, and eigvalsh
     returns NaN or does not converge. The stack fails the audit without an
     exception."""
-    effects = np.stack([sigma(a, 2, 2).matrix for a in (1, 2, 1, 2)]).astype(complex)
+    rows = rows_of(np.stack([sigma(a, 2, 2).matrix for a in (1, 2, 1, 2)]))
+    rows[2, entry[0] + 9 * entry[1]] = bad
     log = cli.InvariantLog()
-    if as_rows:
-        rows = liouville._coordinates(effects.swapaxes(1, 2).reshape(-1, 81))  # column-stacked
-        rows[2, entry[0] + 9 * entry[1]] = bad
-        log.add_coordinates(rows, effects=True)
-    else:
-        effects[(2, *entry)] = bad
-        log.add_states((), effects)
+    log.add_coordinates(rows, effects=True)
     assert not log.ok and log.eigvalsh_stacks == 1 and log.checked == 4
 
 
@@ -348,25 +350,25 @@ def test_stacks_the_cholesky_test_cannot_pass_are_decided_by_eigenvalues(least, 
     spectrum = [1.0 - least, least, 0, 0, 0, 0, 0, 0, 0]
     matrix = hermitian(spectrum) if rotated else np.diag(spectrum).astype(complex)
     log = cli.InvariantLog()
-    log.add_states(np.stack([hermitian([0.5, 0.5, 0, 0, 0, 0, 0, 0, 0]), matrix]))
+    log.add_coordinates(rows_of(np.stack([hermitian([0.5, 0.5, 0, 0, 0, 0, 0, 0, 0]), matrix])))
     assert log.eigvalsh_stacks == 1 and log.ok is ok
     assert log.min_eig == pytest.approx(least, abs=1e-15)
 
 
 def test_stacks_beyond_the_entry_bound_are_decided_by_eigenvalues():
     """A positive stack with an entry beyond CHOLESKY_ENTRY_BOUND is left to
-    eigvalsh, which passes it; the caller's matrices are not shifted."""
-    effects = np.stack([np.eye(9, dtype=complex), 3.0 * np.eye(9, dtype=complex)])
-    before = effects.copy()
+    eigvalsh, which passes it; the caller's rows are not shifted."""
+    rows = rows_of(np.stack([np.eye(9), 3.0 * np.eye(9)]))
+    before = rows.copy()
     log = cli.InvariantLog()
-    log.add_states((), effects)
+    log.add_coordinates(rows, effects=True)
     assert log.ok and log.eigvalsh_stacks == 1 and log.min_eig == 0.0
-    assert np.array_equal(effects, before)
-    log.add_states((), effects[:1])
+    assert np.array_equal(rows, before)
+    log.add_coordinates(rows[:1], effects=True)
     assert log.eigvalsh_stacks == 1
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert cli.main([]) == 2
     assert cli.main(["g2", "--gamma2", "-1"]) == 2
     assert cli.main(["figure", "fig99"]) == 2
@@ -374,8 +376,16 @@ def test_exit_codes(tmp_path):
     out = tmp_path / "dark.csv"
     assert cli.main(["g2", "--gamma2", "0", "--gammaph", "0", "--v12", "0",
                      "--out", str(out)]) == 3
-    # unwritable output path
+    # unwritable output paths: a series file, a figure directory that is a
+    # file, a click file in a directory that does not exist
     assert cli.main(["g2", "--tau-max", "1", "--out", "/nonexistent/dir/x.csv"]) == 4
+    (tmp_path / "taken").write_text("")
+    capsys.readouterr()
+    assert cli.main(["figure", "fig2", "--out", str(tmp_path / "taken")]) == 4
+    assert "cannot create" in capsys.readouterr().err
+    assert cli.main(["trajectories", "--trajectories", "2", "--duration", "1",
+                     "--out", str(tmp_path / "missing" / "x.csv")]) == 4
+    assert "cannot write click records" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -646,6 +656,8 @@ def test_steady_and_spectrum_commands(tmp_path):
     assert cli.main(["steady", "--out", str(steady_out)]) == 0
     manifest = (tmp_path / "steady.manifest").read_text()
     assert "excited_population_atom1" in manifest
+    assert "invariant.states_checked = 1\n" in manifest
+    assert "invariant.overall = pass" in manifest
     spec_out = tmp_path / "spectrum.csv"
     assert cli.main(["spectrum", "--out", str(spec_out)]) == 0
     manifest = (tmp_path / "spectrum.manifest").read_text()
@@ -655,8 +667,23 @@ def test_steady_and_spectrum_commands(tmp_path):
     residue = float(manifest.split("parity_residue = ")[1].split()[0])
     assert 0 <= residue <= PARITY_RTOL
     assert "invariant.spectrum = pass" in manifest
+    assert "invariant.states_checked = 1\n" in manifest
+    assert "invariant.overall = pass" in manifest
     rows = spec_out.read_text().splitlines()[2:]
     assert len(rows) == 81
+
+
+def test_failed_spectrum_verdict_writes_the_manifest_and_exits_3(tmp_path, monkeypatch):
+    """The spectrum structure verdict is the audit's: a failed one is written
+    to the manifest with the CSV, makes invariant.overall fail, and exits 3."""
+    monkeypatch.setattr(cli, "SPECTRUM_MATCH_TOL", 0.0)
+    out = tmp_path / "spectrum.csv"
+    assert cli.main(["spectrum", "--out", str(out)]) == 3
+    assert len(out.read_text().splitlines()) == 2 + 81
+    entries = dict(line.split(" = ", 1)
+                   for line in (tmp_path / "spectrum.manifest").read_text().splitlines())
+    assert entries["invariant.spectrum"] == "fail"
+    assert entries["invariant.overall"] == "fail"
 
 
 def test_trajectories_command(tmp_path):
@@ -689,6 +716,8 @@ def test_trajectories_command(tmp_path):
     assert all(k.startswith(cli.VOLATILE_KEYS) for k in keys[-n_volatile:])
     assert n_volatile == 13
     assert entries["counter.audit.eigvalsh_stacks"] == "0"
+    assert entries["invariant.states_checked"] == "1"
+    assert entries["invariant.overall"] == "pass"
 
 
 @pytest.mark.parametrize("setting, recorded", [(None, "1"), ("2", "2")])

@@ -239,7 +239,8 @@ def test_propagation_preserves_state_invariants(lv):
     rho = sigma(1, 1, 2).matrix @ steady_state(lv) @ sigma(1, 2, 1).matrix
     rho = rho / np.trace(rho).real
     log = InvariantLog()
-    log.add_states([propagate(lv, rho, t) for t in np.linspace(0.1, 8.0, 20)])
+    log.add_coordinates(np.array([_coordinates(vectorize(propagate(lv, rho, t)))
+                                  for t in np.linspace(0.1, 8.0, 20)]))
     assert log.checked == 20 and log.ok
 
 
@@ -297,7 +298,7 @@ def test_negative_eigenvalue_raises_not_positive(params, monkeypatch):
     steady_state refuses a solution whose smallest eigenvalue (corrupted here)
     is below POSITIVITY_FLOOR."""
     log = InvariantLog()
-    log.add_states(np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+    log.add_coordinates(_coordinates(vectorize(np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0, 0])))[None])
     assert log.min_eig == -0.5 and not log.ok
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) - 1e-6)
