@@ -1,12 +1,12 @@
 """Dense matrix kernel.
 
-Products, Kronecker products, matrix exponentials, eigendecompositions, the
-column-stacking vectorization convention used by every module above this
-one, and the change to an orthonormal Hermitian operator basis. Everything
-here is plain linear algebra with no physics attached; the heavy lifting is
-delegated to numpy/scipy, with the accuracy contracts of this package checked
-on top. ``expm`` and ``eig`` keep a real (float64) input real, and so run in
-real arithmetic; anything else is computed in complex arithmetic.
+Matrix exponentials, eigendecompositions, the column-stacking vectorization
+convention used by every module above this one, and the change to an
+orthonormal Hermitian operator basis. Everything here is plain linear algebra
+with no physics attached; the heavy lifting is delegated to numpy/scipy, with
+the accuracy contracts of this package checked on top. ``expm`` and ``eig``
+keep a real (float64) input real, and so run in real arithmetic; anything
+else is computed in complex arithmetic.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -48,7 +48,6 @@ from .errors import (
 
 __all__ = [
     "EigenDecomposition",
-    "kron",
     "expm",
     "eig",
     "check_condition",
@@ -90,11 +89,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
     vector_singular_values: np.ndarray = field(repr=False)
-
-
-def kron(a, b):
-    """Kronecker product, ``(a ⊗ b)[i1*rb + i2, j1*cb + j2] = a[i1,j1] b[i2,j2]``."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
 
 
 def expm(m):

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .liouville import (
     DIM_PAIR,
-    HERMITICITY_TOL,
+    HERMITIAN_BASIS_RTOL,
     STATE_EIG_FLOOR,
     STATIONARY_EIG_TOL,
     TRACE_TOL,
@@ -422,7 +422,7 @@ class InvariantLog:
 
     @property
     def ok(self) -> bool:
-        return (self.max_trace_dev <= TRACE_TOL and self.max_herm <= HERMITICITY_TOL
+        return (self.max_trace_dev <= TRACE_TOL and self.max_herm <= HERMITIAN_BASIS_RTOL
                 and self.min_eig >= STATE_EIG_FLOOR and self.spectrum_ok)
 
     def entries(self):
@@ -475,17 +475,6 @@ def _grid(lo, hi, dt):
     return np.linspace(lo, hi, n + 1)
 
 
-def _grid_on_step(hi, h):
-    """0, h, 2h, ..., n h <= hi (n >= 1), on which ``grid_steps`` reads h
-    itself to the bit, so that a march along it fetches the propagator of h."""
-    n = max(1, math.floor(min(hi / h, MAX_GRID_POINTS)))
-    end = n * h
-    # n h rounds; of it and its neighbours, one divides back to h exactly
-    end = next((e for e in (end, np.nextafter(end, 0.0), np.nextafter(end, np.inf)) if e / n == h),
-               end)
-    return _grid(0.0, end, h)
-
-
 def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
                 dT: float | None = None) -> list:
     """Every panel of a recipe, each followed by the audit of its conditional path.
@@ -505,9 +494,9 @@ def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
     i, k = recipe.atoms[0], recipe.atoms[-1]
     amplitude = (theta,) if recipe.kind in ("g15", "g25") else ()
     if recipe.kind == "ampratio":
-        # the audit marches on the windows' own step, whose exponentials the sweep caches
+        # audited like a g25 panel at T = hi
         T_grid = _grid(lo, hi, dT)
-        audit_grid = _grid_on_step(hi, correlators._window_step(p.rabi, T_grid))
+        audit_grid = _grid(0.0, hi, period / 40.0)
     else:
         grids = [_grid(lo, T if hi is None else hi, dtau) for T in recipe.Ts]
     out = []
@@ -518,8 +507,7 @@ def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
         if recipe.kind == "ampratio":
             series = correlators.amplitude_ratio(lv, *recipe.atoms, theta, T_grid)
             out.extend((f"{tag}_{name}", s, panel) for name, s in zip(("max", "min", "mean"), series))
-            _audit_conditional_path(lv, i, audit_grid, log, derive_adjoint(lv), k,
-                                    audit_grid[-1])
+            _audit_conditional_path(lv, i, audit_grid, log, derive_adjoint(lv), k, hi)
             continue
         lv_adj = derive_adjoint(lv) if recipe.kind in ("g3", "g25") else None
         for T, grid in zip(recipe.Ts, grids):

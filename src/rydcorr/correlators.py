@@ -218,10 +218,10 @@ def _insertion(atom: int, theta: float | None) -> np.ndarray:
     s12 X) / 2: X -> A X B is kron(B.T, A) on column-stacked X."""
     s12, s21 = sigma(atom, 1, 2).matrix, sigma(atom, 2, 1).matrix
     if theta is None:
-        return algebra.kron(s21.T, s12)
+        return np.kron(s21.T, s12)
     phase = 0.5 * np.exp(1j * theta)
     eye = np.eye(DIM_PAIR)
-    return phase * algebra.kron(s21.T, eye) + phase.conjugate() * algebra.kron(eye, s12)
+    return phase * np.kron(s21.T, eye) + phase.conjugate() * np.kron(eye, s12)
 
 
 @functools.lru_cache(maxsize=64)
@@ -382,33 +382,6 @@ def g25(lv: Liouvillian, i: int, j: int, k: int, theta: float, tau_grid, T: floa
     return _three_time(lv, i, j, k, theta, tau_grid, T)
 
 
-def _window_runs(rabi: float, Ts: np.ndarray):
-    """``amplitude_ratio``'s tau windows on the T grid Ts, run by run.
-
-    Window n spans width_n = min(2 w, T_n) (w one Rabi period) from
-    lo_n = (T_n - width_n) / 2 in m_n points, a step of about w / 40.
-    Consecutive windows of one width, every unclipped one, form a run. Yields
-    each run's indices, its window starts and the tau grid of its first window.
-    """
-    window = 2 * math.pi / rabi
-    dtau = window / 40.0
-    width = np.minimum(2.0 * window, Ts)
-    lo = (Ts - width) / 2.0
-    m = np.maximum(2, np.rint(width / dtau).astype(int) + 1)
-    for run in np.split(np.arange(Ts.size), np.flatnonzero(np.diff(width)) + 1):
-        n0 = run[0]
-        yield run, lo[run], np.linspace(lo[n0], lo[n0] + width[n0], m[n0])
-
-
-def _window_step(rabi: float, Ts: np.ndarray) -> float:
-    """The tau step of the last run of windows on Ts, to the bit as
-    ``amplitude_ratio`` marches it, so a grid on that step reuses the
-    sweep's propagators."""
-    for _, _, grid in _window_runs(rabi, Ts):
-        pass
-    return float(grid_steps(grid)[0])
-
-
 def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_grid):
     """g25 normalized by g2(T), summarized in a window around tau = T/2.
 
@@ -418,10 +391,12 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
     reduced to its max, min and mean. Returns three series (max, min, mean)
     over the T grid.
 
-    Each window's raw g25 is the past-quantum-state pair of its grid,
-    ``_state_chain`` and ``_effect_chain`` from T_n, contracted around the
-    amplitude insertion. The windows of a run (``_window_runs``) share the
-    chains of the first, each next marching both one step.
+    Window n spans width_n = min(2 w, T_n) (w one Rabi period) from
+    lo_n = (T_n - width_n) / 2 in m_n points, a step of about w / 40. Its raw
+    g25 is the past-quantum-state pair of its grid, ``_state_chain`` and
+    ``_effect_chain`` from T_n, contracted around the amplitude insertion.
+    Consecutive windows of one width, every unclipped one, form a run: they
+    share the chains of the first, each next marching both one step.
     """
     Ts = _check_grid(T_grid, lo=0.0)
     if Ts[0] <= 0:
@@ -431,11 +406,17 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
     norm = _stationary_norm(steady_state(lv), (k,), (j, theta))
     lv_adj = derive_adjoint(lv)
     mid = _basis_insertion(j, theta)
+    window = 2 * math.pi / lv.params.rabi
+    width = np.minimum(2.0 * window, Ts)
+    lo = (Ts - width) / 2.0
+    m = np.maximum(2, np.rint(width / (window / 40.0)).astype(int) + 1)
     stats = np.empty((3, Ts.size))  # max, min and mean of the ratio at each T
-    for run, starts, grid in _window_runs(lv.params.rabi, Ts):
+    for run in np.split(np.arange(Ts.size), np.flatnonzero(np.diff(width)) + 1):
+        n0 = run[0]
+        grid = np.linspace(lo[n0], lo[n0] + width[n0], m[n0])
         states = _state_chain(lv, i, grid)
-        effects = _effect_chain(lv_adj, k, grid, Ts[run[0]])
-        for n, step in zip(run, np.r_[0.0, grid_steps(starts)]):
+        effects = _effect_chain(lv_adj, k, grid, Ts[n0])
+        for n, step in zip(run, np.r_[0.0, grid_steps(lo[run])]):
             if step:
                 states = states @ lv.propagator(step).T
                 effects = effects @ lv_adj.propagator(step).T

@@ -100,7 +100,8 @@ STEADY_RESIDUAL_TOL = 1e-10
 STEADY_GAP = 1e3
 POSITIVITY_FLOOR = -1e-8
 # imaginary residue of U^H L U, relative to ||L||, above which L is refused as
-# not Hermiticity-preserving (the built generators measure 0)
+# not Hermiticity-preserving (the built generators measure 0); also the run
+# audit's limit on it (cli.InvariantLog.ok)
 HERMITIAN_BASIS_RTOL = 1e-12
 # largest entry of the Hermitian-basis generator coupling its two exchange
 # parity sectors, relative to its largest entry, above which it is refused as
@@ -120,7 +121,6 @@ KEPT_CHAIN_ROWS = 1024
 
 # density/effect-matrix residuals the run audit accepts (cli.InvariantLog.ok)
 TRACE_TOL = 1e-9
-HERMITICITY_TOL = 1e-10
 STATE_EIG_FLOOR = -1e-9
 # |eigenvalue| at or below which a mode of the generator counts as stationary
 STATIONARY_EIG_TOL = 1e-10

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .errors import BadLevelError
 
 __all__ = [
@@ -127,9 +126,9 @@ def _sigma(j, k, l) -> PairOperator:
     eye = np.eye(DIM_ATOM, dtype=complex)
     local = _single_sigma(k, l)
     if j == 1:
-        m = algebra.kron(local, eye)
+        m = np.kron(local, eye)
     else:
-        m = algebra.kron(eye, local)
+        m = np.kron(eye, local)
     return PairOperator(m, label=f"sigma_{k}{l}^({j})")
 
 
@@ -143,7 +142,7 @@ def pair_hamiltonian(p: ModelParams) -> PairOperator:
     """Two-atom Hamiltonian: both drives plus the Rydberg pair shift v12 |33><33|."""
     h1 = single_atom_hamiltonian(p)
     eye = np.eye(DIM_ATOM, dtype=complex)
-    m = algebra.kron(h1, eye) + algebra.kron(eye, h1)
+    m = np.kron(h1, eye) + np.kron(eye, h1)
     m[DIM_PAIR - 1, DIM_PAIR - 1] += p.v12
     return PairOperator(m, label="H")
 

@@ -23,33 +23,6 @@ def random_complex(shape, scale=1.0):
     return scale * (RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape))
 
 
-def test_kron_identity():
-    eye3 = np.eye(3)
-    assert np.array_equal(algebra.kron(eye3, eye3), np.eye(9))
-
-
-def test_kron_dimensions():
-    a = random_complex((3, 3))
-    b = random_complex((3, 3))
-    assert algebra.kron(a, b).shape == (9, 9)
-
-
-def test_kron_single_entry_index():
-    s33 = np.zeros((3, 3))
-    s33[2, 2] = 1.0
-    k = algebra.kron(s33, s33)
-    expected = np.zeros((9, 9))
-    expected[8, 8] = 1.0
-    assert np.array_equal(k, expected)
-
-
-def test_kron_bilinearity():
-    a = random_complex((3, 4))
-    b = random_complex((2, 5))
-    alpha = 0.7 - 1.3j
-    assert np.allclose(algebra.kron(alpha * a, b), alpha * algebra.kron(a, b), rtol=1e-14)
-
-
 def test_expm_zero_is_identity():
     assert np.allclose(algebra.expm(np.zeros((4, 4))), np.eye(4), atol=1e-15)
 
@@ -191,7 +164,7 @@ def test_vectorize_kron_identity():
     x = random_complex((3, 3))
     b = random_complex((3, 3))
     lhs = algebra.vectorize(a @ x @ b)
-    rhs = algebra.kron(b.T, a) @ algebra.vectorize(x)
+    rhs = np.kron(b.T, a) @ algebra.vectorize(x)
     assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-14)
 
 

@@ -204,11 +204,10 @@ def test_ampratio_audit_checks_the_effect_chain(tmp_path, argv, manifest):
 
 def test_fig8_audit_shares_the_sweeps_adjoint(monkeypatch):
     """fig8's audit and amplitude_ratio get one adjoint from derive_adjoint(lv),
-    and the audit calls algebra.expm on neither generator: its grid takes the
-    windows' own step, a fortieth of a Rabi period to the bit, in 574 points
-    up to 573 steps <= 18, and its effects march back from that end. The
-    audit still checks its 1150 states and effects."""
-    phase, fetch, calls, audited_adjoints, audited_grids = ["sweep"], [None], [], [], []
+    whose exponentials the sweep takes for 3 steps. The audit runs as a g25
+    panel at T = 18 would: on [0, 18] at a fortieth of a Rabi period, with
+    its effects marched back from 18, and checks 1150 states and effects."""
+    phase, fetch, calls, audited = ["sweep"], [None], [], []
     propagator, expm, audit = liouville.Liouvillian.propagator, algebra.expm, cli._audit_conditional_path
 
     def tracked(self, dt):
@@ -220,25 +219,45 @@ def test_fig8_audit_shares_the_sweeps_adjoint(monkeypatch):
         calls.append((phase[0], generator.adjoint, float(dt)))
         return expm(m)
 
-    def audited(lv, i, grid, log, lv_adj, k, T):
+    def audited_path(lv, i, grid, log, lv_adj, k, T):
         phase[0] = "audit"
-        audited_adjoints.append(lv_adj is liouville.derive_adjoint(lv))
-        audited_grids.append((grid, T))
+        audited.append((lv_adj is liouville.derive_adjoint(lv), grid, T))
         return audit(lv, i, grid, log, lv_adj, k, T)
 
     monkeypatch.setattr(liouville.Liouvillian, "propagator", tracked)
     monkeypatch.setattr(algebra, "expm", counted)
-    monkeypatch.setattr(cli, "_audit_conditional_path", audited)
-    log = cli.InvariantLog()
-    cli._run_recipe(cli.RECIPES["fig8"], cli.parse_config(["figure", "fig8"]), log)
+    monkeypatch.setattr(cli, "_audit_conditional_path", audited_path)
+    log, cfg = cli.InvariantLog(), cli.parse_config(["figure", "fig8"])
+    cli._run_recipe(cli.RECIPES["fig8"], cfg, log)
     sweep = {dt for where, adjoint, dt in calls if where == "sweep" and adjoint}
-    audit_steps = [dt for where, adjoint, dt in calls if where == "audit"]
-    assert audited_adjoints == [True] and len(sweep) == 3
-    assert audit_steps == []
-    [(grid, T)] = audited_grids
-    assert grid.size == 574 and T == grid[-1] <= 18.0 < T + grid[1]
-    assert set(grid_steps(grid)) <= sweep
+    [(shared, grid, T)] = audited
+    assert shared and len(sweep) == 3
+    period = 2 * np.pi / cfg.params.rabi
+    assert np.array_equal(grid, cli._grid(0.0, 18.0, period / 40)) and T == 18.0
     assert log.checked == 1150 and log.ok
+
+
+@pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6", "fig7", "fig8"])
+def test_three_time_audit_spans_zero_to_the_panels_T(monkeypatch, figure):
+    """Every three-time panel is audited on a grid from 0 to its T, with the
+    effects marched back from T; fig8's one panel is its sweep's last T."""
+    recipe = cli.RECIPES[figure]
+    name = "amplitude_ratio" if recipe.kind == "ampratio" else recipe.kind
+    compute, effect_chain = getattr(correlators, name), cli._effect_chain
+    panel_Ts, audits = [], []
+
+    def swept(lv, *args):
+        panel_Ts.append(float(np.max(args[-1])))  # g3 and g25: T; amplitude_ratio: the T grid
+        return compute(lv, *args)
+
+    def effects(lv_adj, k, grid, T):
+        audits.append((grid[0], grid[-1], T))
+        return effect_chain(lv_adj, k, grid, T)
+
+    monkeypatch.setattr(correlators, name, swept)
+    monkeypatch.setattr(cli, "_effect_chain", effects)
+    cli._run_recipe(recipe, cli.parse_config(["figure", figure]), cli.InvariantLog())
+    assert panel_Ts and audits == [(0.0, T, T) for T in panel_Ts]
 
 
 @pytest.mark.parametrize("figure", ["fig2", "fig3a", "fig3b", "fig4", "fig6"])
