@@ -12,8 +12,6 @@ Conventions fixed here and relied on everywhere else:
 
 * ``vectorize`` stacks columns: ``vec(m)[i + rows*j] = m[i, j]``, so that
   ``vec(A X B) = kron(B.T, A) @ vec(X)``.
-* ``eig`` returns eigenvalues sorted by descending real part (ties broken by
-  descending imaginary part), which puts a generator's stationary mode first.
 * The Hermitian basis of n x n matrices is {E_kk, (E_kl + E_lk)/sqrt2,
   i(E_kl - E_lk)/sqrt2 : k < l}, orthonormal under <A, B> = Tr(A^H B). The
   coordinate of E_kk sits at vec position k + n k, that of the symmetric
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -47,10 +44,8 @@ from .errors import (
 )
 
 __all__ = [
-    "EigenDecomposition",
     "expm",
     "eig",
-    "check_condition",
     "vectorize",
     "devectorize",
     "to_hermitian_basis",
@@ -81,16 +76,6 @@ def _require_square(a, name="matrix"):
         raise NonSquareError(f"{name} must be square, got shape {a.shape}")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (descending real part) with the right eigenvectors as
-    columns, and the singular values of the eigenvector matrix."""
-
-    eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray
-    vector_singular_values: np.ndarray = field(repr=False)
-
-
 def expm(m):
     """Matrix exponential with a halving self-check of the relative accuracy.
 
@@ -110,50 +95,42 @@ def expm(m):
     return full
 
 
-def eig(m, *, whole=None):
-    """Eigendecomposition sorted by descending real part.
+def eig(blocks, whole):
+    """Eigenvalues w and right eigenvectors V of each diagonal block B of the
+    block-diagonal matrix ``whole``, a (w, V) pair per block in LAPACK's order.
 
-    Verifies the residual ``||M v - w v|| <= 1e-8 ||M|| ||v||`` for every pair
-    on M / max|M|, so that no norm overflows to an inf bound that passes
-    anything, and flags a near-defective eigenvector matrix (condition
-    number > 1e12). For a real M the condition number comes from a real SVD
-    (:func:`_real_eigenvector_columns`), at about 0.7 of the complex one's
-    cost on 81x81.
-
-    For M a diagonal block of a block-diagonal matrix, pass that matrix as
-    ``whole``: each residual is then bounded by its norm, as if the pair were
-    one of its own, and the caller hands every block's decomposition to
-    :func:`check_condition` at once, for the condition number of the whole.
-    """
-    a = _as_matrix(m, keep_real=True)
-    _require_square(a)
-    w, vr = scipy.linalg.eig(a, check_finite=False)  # _as_matrix checked
-    order = np.lexsort((-w.imag, -w.real))
-    w = w[order]
-    vr = vr[:, order]
-
-    cols = vr if np.iscomplexobj(a) else _real_eigenvector_columns(w, vr)
-    dec = EigenDecomposition(eigenvalues=w, right_eigenvectors=vr,
-                             vector_singular_values=np.linalg.svd(cols, compute_uv=False))
-    check_condition(dec)
-    ref = a if whole is None else _as_matrix(whole, keep_real=True)
+    Verifies ``||B v - w v|| <= 1e-8 ||whole|| ||v||`` for every pair, on
+    B / max|whole| so that no norm overflows to an inf bound that passes
+    anything, and refuses near-defective eigenvectors over all the blocks
+    together (:func:`_check_condition`), as one decomposition of the whole
+    would. A real block's V has its singular values from a real SVD
+    (:func:`_real_eigenvector_columns`)."""
+    ref = _as_matrix(whole, "whole", keep_real=True)
     scale = float(np.max(np.abs(ref))) or 1.0
-    residual = np.linalg.norm((a / scale) @ vr - vr * (w / scale)[np.newaxis, :], axis=0)
     norm = max(np.linalg.norm(ref / scale), 1e-300)
-    bound = EIG_RESIDUAL_RTOL * norm * np.linalg.norm(vr, axis=0)
-    if np.any(residual > bound):
-        worst = float(np.max(residual / np.maximum(bound, 1e-300)))
-        raise AccuracyNotMetError(f"eigenpair residual exceeds contract by factor {worst:.3e}")
-    return dec
+    pairs, svals = [], []
+    for m in blocks:
+        a = _as_matrix(m, keep_real=True)
+        _require_square(a)
+        w, vr = scipy.linalg.eig(a, check_finite=False)  # _as_matrix checked
+        residual = np.linalg.norm((a / scale) @ vr - vr * (w / scale)[np.newaxis, :], axis=0)
+        bound = EIG_RESIDUAL_RTOL * norm * np.linalg.norm(vr, axis=0)
+        if np.any(residual > bound):
+            worst = float(np.max(residual / np.maximum(bound, 1e-300)))
+            raise AccuracyNotMetError(f"eigenpair residual exceeds contract by factor {worst:.3e}")
+        cols = vr if np.iscomplexobj(a) else _real_eigenvector_columns(w, vr)
+        svals.append(np.linalg.svd(cols, compute_uv=False))
+        pairs.append((w, vr))
+    _check_condition(*svals)
+    return pairs
 
 
-def check_condition(*decompositions):
+def _check_condition(*singular_values):
     """Refuse near-defective eigenvectors: the condition number of the block
-    diagonal of the decompositions' eigenvector matrices, the ratio of their
-    largest to their smallest singular value taken together, must not exceed
-    EIG_CONDITION_LIMIT. It is at least each block's own, which :func:`eig`
-    has tested. A singular one has condition number inf."""
-    svals = np.concatenate([d.vector_singular_values for d in decompositions])
+    diagonal of the blocks' eigenvector matrices, the ratio of their largest
+    to their smallest singular value taken together, must not exceed
+    EIG_CONDITION_LIMIT. A singular one has condition number inf."""
+    svals = np.concatenate(singular_values)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = svals.max() / svals.min()
     if not cond <= EIG_CONDITION_LIMIT:  # NaN (0/0) included

@@ -475,30 +475,30 @@ def _grid(lo, hi, dt):
     return np.linspace(lo, hi, n + 1)
 
 
-def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog,
-                dT: float | None = None) -> list:
+def _run_recipe(recipe: Recipe, cfg: argparse.Namespace, log: InvariantLog) -> list:
     """Every panel of a recipe, each followed by the audit of its conditional path.
 
-    ``dT`` is the step of the ampratio T grid (default: a sixteenth of the
-    Rabi period). Returns (suffix, series, panel parameters) triples; the
-    suffix names the panel (``_v0.5``, ``_T10``, ``_max``) and is empty for a
-    single panel. Every grid is built, and so checked against
-    MAX_GRID_POINTS, before the first generator.
+    ``cfg.dtau`` is the step of the tau grid, or of the ampratio T grid
+    (default: a fortieth of the Rabi period, or a sixteenth for T). Returns
+    (suffix, series, panel parameters) triples; the suffix names the panel
+    (``_v0.5``, ``_T10``, ``_max``) and is empty for a single panel. Every
+    grid is built, and so checked against MAX_GRID_POINTS, before the first
+    generator.
     """
     p, theta = cfg.params, cfg.theta
     period = 2 * math.pi / p.rabi
-    dtau = cfg.dtau if cfg.dtau is not None else period / 40.0
-    if dT is None:
-        dT = period / 16.0
+    step = cfg.dtau
+    if step is None:
+        step = period / (16.0 if recipe.kind == "ampratio" else 40.0)
     lo, hi = recipe.window or WINDOWS[recipe.kind]
     i, k = recipe.atoms[0], recipe.atoms[-1]
     amplitude = (theta,) if recipe.kind in ("g15", "g25") else ()
     if recipe.kind == "ampratio":
         # audited like a g25 panel at T = hi
-        T_grid = _grid(lo, hi, dT)
+        T_grid = _grid(lo, hi, step)
         audit_grid = _grid(0.0, hi, period / 40.0)
     else:
-        grids = [_grid(lo, T if hi is None else hi, dtau) for T in recipe.Ts]
+        grids = [_grid(lo, T if hi is None else hi, step) for T in recipe.Ts]
     out = []
     for v12 in recipe.v12:
         panel = p if v12 is None else replace(p, v12=v12)
@@ -539,7 +539,7 @@ def _run_series_command(cfg: argparse.Namespace, out: Path):
         raise BadValueError(f"tau_max {hi:g} must exceed tau_min {lo:g}")
     recipe = Recipe(kind, cfg.atoms, Ts=(cfg.t_sep,) if three_time else (None,), window=(lo, hi))
     log = InvariantLog()
-    panels = _run_recipe(recipe, cfg, log, dT=cfg.dtau)
+    panels = _run_recipe(recipe, cfg, log)
 
     entries = [("command", kind), ("atoms", ",".join(map(str, cfg.atoms)))]
     if kind in ("g15", "g25", "ampratio"):

@@ -169,16 +169,16 @@ class Liouvillian:
     Q+^T real Q+ and Q-^T real Q- of the swap-even and swap-odd coordinates
     (:func:`_parity_basis`), and ``parity_residue`` the largest entry of
     Q^T real Q outside them relative to max|real|. All are derived from
-    ``matrix``. The adjoint's real matrix and blocks are computed from
-    L = matrix^H and transposed, so they are exactly the forward generator's
-    transposes. The generator also keeps, in ``_cache``, its steady state,
-    its derived adjoint and the last chain ``_kept_chain`` marched on it in
-    each slot.
+    ``matrix``. A generator is built forward; ``adjoint`` marks the one
+    :func:`derive_adjoint` makes from it, whose real matrix and blocks are
+    exactly the forward generator's transposes. The generator also keeps, in
+    ``_cache``, its steady state, its derived adjoint and the last chain
+    ``_kept_chain`` marched on it in each slot.
     """
 
     matrix: np.ndarray = field(repr=False)
     params: ModelParams
-    adjoint: bool = False
+    adjoint: bool = field(default=False, init=False)
     real: np.ndarray = field(init=False, repr=False)
     sectors: tuple = field(init=False, repr=False)
     hermitian_residue: float = field(init=False)
@@ -191,8 +191,7 @@ class Liouvillian:
         m = np.array(self.matrix, dtype=complex, order="C")
         if m.shape != (DIM_SUPER, DIM_SUPER):
             raise ValueError(f"generator must be {DIM_SUPER}x{DIM_SUPER}, got {m.shape}")
-        forward = np.ascontiguousarray(m.conj().T) if self.adjoint else m
-        basis = algebra.superoperator_in_hermitian_basis(forward)
+        basis = algebra.superoperator_in_hermitian_basis(m)
         residue = float(np.max(np.abs(basis.imag)))
         # scaled by the largest entry first: ||L|| overflows at entries of 1e154
         scale = float(np.max(np.abs(m)))
@@ -213,10 +212,7 @@ class Liouvillian:
         if not coupling <= PARITY_RTOL:
             raise ValueError(f"generator is not symmetric under the atom swap: its parity "
                              f"sectors couple at {coupling:.3e} of max|L|")
-        if self.adjoint:
-            real, sectors = real.T, tuple(b.T for b in sectors)
         real = np.ascontiguousarray(real)
-        sectors = tuple(np.ascontiguousarray(b) for b in sectors)
         for a in (m, real, *sectors):
             a.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -277,7 +273,7 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     gen = np.kron(eye, k) + np.kron(k.conj(), eye)
     for c in jumps:
         gen += np.kron(c.conj(), c)
-    lv = Liouvillian(gen, params=p, adjoint=False)
+    lv = Liouvillian(gen, params=p)
     _FORWARD[_params_key(p)] = lv
     return lv
 
@@ -296,27 +292,22 @@ def build_adjoint_liouvillian(p: ModelParams) -> Liouvillian:
 def derive_adjoint(lv: Liouvillian) -> Liouvillian:
     """The adjoint of a forward generator, derived from it without a second
     build or basis change: ``matrix`` is lv.matrix^H, ``real`` lv.real^T and
-    each of ``sectors`` the transpose of lv's, the same bits
-    ``Liouvillian(lv.matrix^H, adjoint=True)`` computes, since it
-    conjugate-transposes its matrix back to lv.matrix before the basis
-    change. The forward generator keeps it, so every call on lv returns the
-    same adjoint. It has its own propagator cache, so the past-quantum-state
-    route still takes the adjoint's own exponentials."""
+    each of ``sectors`` the transpose of lv's. The forward generator keeps
+    it, so every call on lv returns the same adjoint. It has its own
+    propagator cache, so the past-quantum-state route still takes the
+    adjoint's own exponentials."""
     if lv.adjoint:
         raise ValueError("derive_adjoint needs the forward generator")
     adj = lv._cache.get("adjoint")
     if adj is not None:
         return adj
     adj = copy.copy(lv)  # params and both residues carry over
-    for name, value in (("matrix", lv.matrix.conj().T), ("real", lv.real.T)):
-        value = np.ascontiguousarray(value)
-        value.flags.writeable = False
-        object.__setattr__(adj, name, value)
+    matrix, real = np.ascontiguousarray(lv.matrix.conj().T), np.ascontiguousarray(lv.real.T)
     sectors = tuple(np.ascontiguousarray(b.T) for b in lv.sectors)
-    for b in sectors:
-        b.flags.writeable = False
-    object.__setattr__(adj, "sectors", sectors)
-    for name, value in (("adjoint", True), ("_propagators", OrderedDict()), ("_cache", {})):
+    for a in (matrix, real, *sectors):
+        a.flags.writeable = False
+    for name, value in (("matrix", matrix), ("real", real), ("sectors", sectors), ("adjoint", True),
+                        ("_propagators", OrderedDict()), ("_cache", {})):
         object.__setattr__(adj, name, value)
     lv._cache["adjoint"] = adj
     return adj
@@ -566,7 +557,7 @@ class LiouvillianSpectrum:
 
     @property
     def stationary_count(self) -> int:
-        return int(np.sum(np.abs(self.eigenvalues) <= STATIONARY_EIG_TOL))
+        return sum(self.stationary_by_parity)
 
     @property
     def stationary_by_parity(self) -> tuple[int, int]:
@@ -576,15 +567,15 @@ class LiouvillianSpectrum:
 
 
 def spectrum(lv: Liouvillian) -> LiouvillianSpectrum:
-    """Eigenvalues and right modes of the generator, from its two parity
-    sectors. Each residual is bounded by the norm of the whole real matrix,
-    and the eigenvector condition number is taken over both sectors' modes
-    together, as one decomposition of the whole would be."""
-    decs = [algebra.eig(b, whole=lv.real) for b in lv.sectors]
-    algebra.check_condition(*decs)
-    w = np.concatenate([d.eigenvalues for d in decs])
-    coords = np.hstack([q @ d.right_eigenvectors for q, d in zip(_parity_basis(), decs)])
-    parities = np.repeat([1, -1], [len(d.eigenvalues) for d in decs])
+    """Eigenvalues and right modes of the generator, from one ``algebra.eig``
+    of its two parity sectors against the whole real matrix. They are sorted
+    by descending real part (ties by descending imaginary part), which puts
+    the stationary mode first; equal eigenvalues keep the even sector's
+    first, each sector's in LAPACK's order."""
+    ws, vrs = zip(*algebra.eig(lv.sectors, lv.real))
+    w = np.concatenate(ws)
+    coords = np.hstack([q @ vr for q, vr in zip(_parity_basis(), vrs)])
+    parities = np.repeat([1, -1], list(map(len, ws)))
     order = np.lexsort((-w.imag, -w.real))
     w, coords, parities = w[order], coords[:, order], parities[order]
     vr = algebra.from_hermitian_basis(coords.T).T

@@ -372,9 +372,8 @@ def estimate_g2(batch: TrajectoryBatch, i: int, j: int, tau_grid, bin_width: flo
     # pairs in [lo, hi) = #(d >= lo) - #(d >= hi); both are exact comparisons
     counts = (np.searchsorted(delays, hi) - np.searchsorted(delays, lo)).astype(float)
 
-    norm = batch.count * rate_i * rate_j * bin_width * avail
-    values = counts / norm
-    stderr = np.sqrt(np.maximum(counts, 1.0)) / norm
+    values = counts / expected
+    stderr = np.sqrt(np.maximum(counts, 1.0)) / expected
     return CorrelationSeries(kind="g2", atoms=(i, j), tau_grid=centers, values=values,
                              stderr=stderr)
 

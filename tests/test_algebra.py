@@ -47,9 +47,8 @@ def test_expm_inverse_pairing():
 
 def test_expm_matches_eigendecomposition():
     m = random_complex((9, 9))
-    dec = algebra.eig(m)
-    v = dec.right_eigenvectors
-    rebuilt = v @ np.diag(np.exp(dec.eigenvalues)) @ np.linalg.inv(v)
+    [(w, v)] = algebra.eig([m], m)
+    rebuilt = v @ np.diag(np.exp(w)) @ np.linalg.inv(v)
     assert np.max(np.abs(algebra.expm(m) - rebuilt)) < 1e-7 * np.linalg.norm(algebra.expm(m))
 
 
@@ -59,27 +58,28 @@ def test_expm_rejects_nonsquare():
 
 
 def test_eig_simple_diagonal():
-    dec = algebra.eig(np.diag([2.0, -1.0]))
-    assert np.allclose(dec.eigenvalues, [2.0, -1.0])
+    m = np.diag([2.0, -1.0])
+    [(w, _)] = algebra.eig([m], m)
+    assert np.allclose(w, [2.0, -1.0])
 
 
 def test_eig_identity():
-    dec = algebra.eig(np.eye(9))
-    assert np.allclose(dec.eigenvalues, np.ones(9))
+    [(w, _)] = algebra.eig([np.eye(9)], np.eye(9))
+    assert np.allclose(w, np.ones(9))
 
 
 def test_eig_real_matrix_conjugate_closure():
     m = RNG.standard_normal((8, 8))
-    w = algebra.eig(m).eigenvalues
+    [(w, _)] = algebra.eig([m], m)
     dist = np.abs(w.conj()[:, None] - w[None, :])
     assert dist.min(axis=1).max() < 1e-10
 
 
 def test_eig_residual_contract():
     m = random_complex((9, 9))
-    dec = algebra.eig(m)
-    resid = m @ dec.right_eigenvectors - dec.right_eigenvectors * dec.eigenvalues
-    assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(m) * np.linalg.norm(dec.right_eigenvectors)
+    [(w, v)] = algebra.eig([m], m)
+    resid = m @ v - v * w
+    assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(m) * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("omega1", [1e150, 1e160, 1e200])
@@ -91,28 +91,23 @@ def test_eig_residual_contract_is_scale_safe(omega1):
         warnings.simplefilter("error")
         real = build_liouvillian(ModelParams(omega1=omega1)).real
         with pytest.raises(AccuracyNotMetError):
-            algebra.eig(real)
-
-
-def test_eig_sorted_descending_real():
-    w = algebra.eig(random_complex((9, 9))).eigenvalues
-    assert np.all(np.diff(w.real) <= 1e-12)
+            algebra.eig([real], real)
 
 
 def test_eig_flags_defective():
+    m = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NearDefectiveError):
-        algebra.eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        algebra.eig([m], m)
 
 
 def test_condition_of_blocks_is_taken_together():
     """Eigenvector singular values of 1 and 2e-12 (cond 5e11) and of 3 and 1
     (cond 3) pass apart; their block diagonal has cond 1.5e12 and is refused."""
-    decs = [algebra.EigenDecomposition(np.ones(2), np.eye(2), np.array(s))
-            for s in ([1.0, 2e-12], [3.0, 1.0])]
-    for dec in decs:
-        algebra.check_condition(dec)
+    svals = [np.array(s) for s in ([1.0, 2e-12], [3.0, 1.0])]
+    for s in svals:
+        algebra._check_condition(s)
     with pytest.raises(NearDefectiveError, match="1.500e"):
-        algebra.check_condition(*decs)
+        algebra._check_condition(*svals)
 
 
 def eigenvector_conditions(m):
@@ -140,11 +135,12 @@ def test_eig_takes_the_real_condition_number_for_real_input_only(monkeypatch):
     monkeypatch.setattr(algebra, "_real_eigenvector_columns",
                         lambda w, vr: seen.append(w.size) or real_columns(w, vr))
     m = RNG.standard_normal((9, 9))
-    algebra.eig(m)
-    algebra.eig(m.astype(complex))
+    algebra.eig([m], m)
+    algebra.eig([m.astype(complex)], m.astype(complex))
     assert seen == [9]
+    jordan = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
     with pytest.raises(NearDefectiveError):
-        algebra.eig(np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]]))
+        algebra.eig([jordan], jordan)
     assert seen == [9, 3]
 
 
@@ -222,6 +218,6 @@ def test_expm_and_eig_keep_real_input_real():
     m = RNG.standard_normal((9, 9)) * 0.3
     assert algebra.expm(m).dtype == np.float64
     assert np.allclose(algebra.expm(m), scipy.linalg.expm(m.astype(complex)), rtol=0, atol=1e-14)
-    w = algebra.eig(m).eigenvalues
+    [(w, _)] = algebra.eig([m], m)
     complex_w = np.linalg.eigvals(m.astype(complex))
     assert np.abs(w[:, None] - complex_w[None, :]).min(axis=1).max() < 1e-12

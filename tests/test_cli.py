@@ -185,6 +185,17 @@ def test_fig8_series_are_ordered(tmp_path):
     assert np.array_equal(hi[:, 0], lo[:, 0]) and np.array_equal(hi[:, 0], mean[:, 0])
 
 
+def test_fig8_takes_its_T_step_from_dtau(tmp_path):
+    """--dtau sets the T step of fig8 as it does of ampratio: 81 points on
+    [10, 18] at 0.1, written to the same bytes."""
+    assert cli.main(["figure", "fig8", "--dtau", "0.1", "--out", str(tmp_path / "fig8")]) == 0
+    assert cli.main(["ampratio", "--dtau", "0.1", "--out", str(tmp_path / "amp.csv")]) == 0
+    for name in ("max", "min", "mean"):
+        path = tmp_path / "fig8" / f"fig8_ampratio_122_{name}.csv"
+        assert len(read_series(path)[1]) == 81
+        assert path.read_bytes() == (tmp_path / f"amp_{name}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv, manifest", [(["figure", "fig8"], "out/fig8.manifest"),
                                             (["ampratio"], "out.manifest")],
                          ids=["fig8", "ampratio"])
