@@ -1,19 +1,20 @@
 """Steady-state multi-time correlation functions of the emitted light.
 
-Every correlator is a choice of insertion superoperators fed to one kernel,
-``_regression``: between insertions the (unnormalized) conditional matrix
-evolves under the master-equation generator, and each insertion multiplies
-it from the left and/or right. A photon count on atom i is X -> s12_i X
-s21_i. A homodyne measurement of atom j's field quadrature at phase theta
-(Carmichael, Castro-Beltran, Foster & Orozco, PRL 85, 1855 (2000)) is
+A correlator is its measurement record, a time-ordered tuple of keys
+``(atom, theta)``, each of which picks an insertion superoperator
+(``_basis_insertion``), a readout when it is measured last (``_readout``)
+and a stationary expectation in the normalization (``_stationary_norm``).
+A photon count on atom i, (i, None), is X -> s12_i X s21_i. A homodyne
+measurement of atom j's field quadrature at phase theta (Carmichael,
+Castro-Beltran, Foster & Orozco, PRL 85, 1855 (2000)), (j, theta), is
 X -> (e^{i theta} X s21_j + e^{-i theta} s12_j X) / 2: on the Hermitian X
 the kernel carries, this is the Hermitian part of e^{i theta} X s21_j, the
-ordering the time-ordered, normally ordered field correlators reduce to, so
-a trace read after it is Re(e^{i theta} ...) of the one-sided insertion's.
-``_insertion`` writes both as 81x81 superoperators. Both
-map Hermitian matrices to Hermitian matrices, so the kernel runs in the
-Hermitian basis of ``liouville`` on real rows only: the start vector, the
-insertions (``_basis_insertion``) and the readout functional are converted
+ordering the time-ordered, normally ordered field correlators reduce to.
+Each record feeds one kernel, ``_regression``: between insertions the
+(unnormalized) conditional matrix evolves under the master-equation
+generator. Every insertion maps Hermitian matrices to Hermitian matrices,
+so the kernel runs in the Hermitian basis of ``liouville`` on real rows
+only: the start vector, the insertions and the readouts are converted
 once, and the rows marched in real arithmetic.
 
 The past-quantum-state pair (Gammelmark, Julsgaard & Molmer, PRL 111,
@@ -26,11 +27,12 @@ atoms i, k march the pair once.
 Provided correlators (all normalized by products of stationary one-time
 expectations, so uncorrelated signals give 1):
 
-* ``g2``  -- count at t, count at t+tau.
-* ``g15`` -- count and quadrature amplitude; separate operator orderings for
-  the amplitude measured after (tau > 0) and before (tau < 0) the count.
-* ``g3``  -- counts at t and t+tau, count at t+T.
-* ``g25`` -- count at t, amplitude at t+tau, count at t+T.
+* ``g2``  -- count at t, count at t+tau: ((i, None), (j, None)).
+* ``g15`` -- count and quadrature amplitude, ((i, None), (j, theta)) for the
+  amplitude measured after the count (tau > 0), reversed before (tau < 0).
+* ``g3``  -- counts at t, t+tau and t+T: ((i, None), (j, None), (k, None)).
+* ``g25`` -- count at t, amplitude at t+tau, count at t+T:
+  ((i, None), (j, theta), (k, None)).
 * ``amplitude_ratio`` -- g25 normalized by g2(T), summarized around tau = T/2;
   its windows are read by the past-quantum-state contraction, not the kernel.
 
@@ -201,14 +203,12 @@ def _suffix_propagate(lv: Liouvillian, rows: np.ndarray, grid: np.ndarray, t_end
     return w
 
 
-def _stationary_norm(rho: np.ndarray, counts, amplitude=None) -> float:
-    """Product of the stationary count rates of the atoms in ``counts`` and,
-    for ``amplitude = (j, theta)``, the mean quadrature of atom j."""
+def _stationary_norm(rho: np.ndarray, record) -> float:
+    """Product of the stationary one-time expectations of a record's
+    measurements: the count rates first, then the mean quadratures."""
     norm = 1.0
-    for atom in counts:
-        norm *= _emission_rate(rho, atom)
-    if amplitude is not None:
-        norm *= _quadrature_mean(rho, *amplitude)
+    for atom, theta in sorted(record, key=lambda m: m[1] is not None):
+        norm *= _emission_rate(rho, atom) if theta is None else _quadrature_mean(rho, atom, theta)
     return norm
 
 
@@ -234,22 +234,20 @@ def _basis_insertion(atom: int, theta: float | None) -> np.ndarray:
     return op
 
 
-def _quadrature(atom: int, theta: float) -> np.ndarray:
-    """Q = (e^{i theta} s21 + e^{-i theta} s12) / 2, exactly Hermitian: on a
-    Hermitian X, Tr(Q X) = Re(e^{i theta} Tr(s21 X))."""
-    a = 0.5 * np.exp(1j * theta) * sigma(atom, 2, 1).matrix
-    return a + a.conj().T
+@functools.lru_cache(maxsize=64)
+def _readout(atom: int, theta: float | None) -> np.ndarray:
+    """Coordinates of the Hermitian operator a trace reads after the last
+    measurement of a record: the identity's coordinates through its basis
+    insertion O, as Tr(O(X)) = Tr(O^dag(1) X). That is s22 for a count and
+    (e^{i theta} s21 + e^{-i theta} s12) / 2 for an amplitude."""
+    op = _coordinates(algebra.vectorize(np.eye(DIM_PAIR))) @ _basis_insertion(atom, theta)
+    op.flags.writeable = False
+    return op
 
 
-def _inserted(rho: np.ndarray, insertion: np.ndarray) -> np.ndarray:
-    """Coordinates, shape (81,), of a basis insertion applied to rho."""
-    return _coordinates(algebra.vectorize(rho)) @ insertion.T
-
-
-def _read(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Tr(probe @ X) for each coordinate row X, with probe Hermitian: in the
-    orthonormal Hermitian basis, the plain dot product of their coordinates."""
-    return rows @ _coordinates(algebra.vectorize(probe))
+def _inserted(rho: np.ndarray, measurement) -> np.ndarray:
+    """Coordinates, shape (81,), of a measurement's insertion applied to rho."""
+    return _coordinates(algebra.vectorize(rho)) @ _basis_insertion(*measurement).T
 
 
 def _chain_steps(grid: np.ndarray) -> np.ndarray:
@@ -268,7 +266,7 @@ def _count_chain(lv: Liouvillian, i: int, grid: np.ndarray) -> np.ndarray:
     from the generator, not marched again.
     """
     rho = steady_state(lv)
-    rows = _kept_chain(lv, _inserted(rho, _basis_insertion(i, None)), _chain_steps(grid))
+    rows = _kept_chain(lv, _inserted(rho, (i, None)), _chain_steps(grid))
     return rows / _emission_rate(rho, i)
 
 
@@ -278,9 +276,12 @@ def _state_chain(lv: Liouvillian, i: int, grid) -> np.ndarray:
     marched. Kept on the generator in a slot of its own, never the regression
     route's (``_count_chain``): sharing that forward rounding halved the
     median route deviation over 3,600 ``route_scan`` series (4.3e-5 -> 2.1e-5
-    of criterion 06's rule) and hid its 10.8x one."""
+    of criterion 06's rule) and hid its 10.8x one. Dividing by the rate before
+    the march, where regression marches the raw count and ``_count_chain``
+    divides after, is the only difference between the two forward chains,
+    and so what keeps their rounding apart."""
     rho = steady_state(lv)
-    jumped = _inserted(rho, _basis_insertion(i, None)) / _emission_rate(rho, i)
+    jumped = _inserted(rho, (i, None)) / _emission_rate(rho, i)
     return _kept_chain(lv, jumped, _chain_steps(np.asarray(grid, dtype=float)), "state_chain")
 
 
@@ -291,32 +292,31 @@ def _effect_chain(lv_adj: Liouvillian, k: int, grid, T: float) -> np.ndarray:
     if not lv_adj.adjoint:
         raise ValueError("effect_chain needs the adjoint generator")
     grid = np.asarray(grid, dtype=float)
-    projector = _coordinates(algebra.vectorize(sigma(k, 2, 2).matrix))
-    return _kept_chain(lv_adj, projector, np.r_[T - grid[-1:], grid_steps(grid)[::-1]],
+    return _kept_chain(lv_adj, _readout(k, None), np.r_[T - grid[-1:], grid_steps(grid)[::-1]],
                        "effect_chain")[::-1]
 
 
-def _contract(states: np.ndarray, mid: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """Tr(E_n O(rho_n)) for each pair of rows, with O the basis insertion
-    ``mid``: in the Hermitian basis, the dot product of their coordinates."""
-    return np.einsum("na,na->n", states @ mid.T, effects)
+def _contract(states: np.ndarray, measurement, effects: np.ndarray) -> np.ndarray:
+    """Tr(E_n O(rho_n)) for each pair of rows, with O the measurement's
+    insertion: in the Hermitian basis, the dot product of their coordinates."""
+    return np.einsum("na,na->n", states @ _basis_insertion(*measurement).T, effects)
 
 
-def _regression(lv: Liouvillian, rho: np.ndarray, first: np.ndarray, grid: np.ndarray,
-                probe: np.ndarray, mid: np.ndarray | None = None,
+def _regression(lv: Liouvillian, rho: np.ndarray, record, grid: np.ndarray,
                 T: float | None = None) -> np.ndarray:
-    """The insertion kernel: raw traces Tr(probe @ X) along a delay grid.
+    """The insertion kernel: the raw traces of a record of two or three
+    measurements along a delay grid.
 
-    The basis insertion ``first`` acts on rho at delay 0 and the result is
-    propagated to each grid point. Without ``mid`` the probe is read there;
-    with it, the basis insertion ``mid`` acts on every grid point at once and
-    each row is propagated on to T before the probe is read. The first chain
-    stays on the generator (``_kept_chain``), where the run audit reads it.
+    The first measurement's insertion acts on rho at delay 0 and the result
+    is propagated to each grid point. In a record of three, the middle one's
+    acts on every grid point at once and each row is propagated on to T. The
+    last is read as a trace, through its ``_readout``. The first chain stays
+    on the generator (``_kept_chain``), where the run audit reads it.
     """
-    rows = _kept_chain(lv, _inserted(rho, first), _chain_steps(grid))
-    if mid is not None:
-        rows = _suffix_propagate(lv, rows @ mid.T, grid, T)
-    return _read(rows, probe)
+    rows = _kept_chain(lv, _inserted(rho, record[0]), _chain_steps(grid))
+    if len(record) == 3:
+        rows = _suffix_propagate(lv, rows @ _basis_insertion(*record[1]).T, grid, T)
+    return rows @ _readout(*record[-1])
 
 
 # --- named correlators -----------------------------------------------------
@@ -325,8 +325,9 @@ def g2(lv: Liouvillian, i: int, j: int, tau_grid) -> CorrelationSeries:
     """Intensity-intensity correlation: count on atom i, count on atom j a delay tau later."""
     grid = _check_grid(tau_grid, lo=0.0)
     rho = steady_state(lv)
-    norm = _stationary_norm(rho, (i, j))
-    vals = _regression(lv, rho, _basis_insertion(i, None), grid, sigma(j, 2, 2).matrix) / norm
+    record = ((i, None), (j, None))
+    norm = _stationary_norm(rho, record)
+    vals = _regression(lv, rho, record, grid) / norm
     return CorrelationSeries(kind="g2", atoms=(i, j), tau_grid=grid, values=vals)
 
 
@@ -339,20 +340,19 @@ def g15(lv: Liouvillian, i: int, j: int, theta: float, tau_grid) -> CorrelationS
     """
     grid = _check_grid(tau_grid)
     rho = steady_state(lv)
-    norm = _stationary_norm(rho, (i,), (j, theta))
+    record = ((i, None), (j, theta))
+    norm = _stationary_norm(rho, record)
 
     vals = np.empty(grid.size, dtype=float)
     pos = grid >= 0
     neg = ~pos
     if np.any(neg):
         # amplitude first: evolve the quadrature-inserted rho_ss forward by |tau|
-        raw = _regression(lv, rho, _basis_insertion(j, theta), -grid[neg][::-1],
-                          sigma(i, 2, 2).matrix)
+        raw = _regression(lv, rho, record[::-1], -grid[neg][::-1])
         vals[neg] = raw[::-1] / norm
     if np.any(pos):
         # last, so that the count's chain is the one left on the generator
-        raw = _regression(lv, rho, _basis_insertion(i, None), grid[pos], _quadrature(j, theta))
-        vals[pos] = raw / norm
+        vals[pos] = _regression(lv, rho, record, grid[pos]) / norm
     return CorrelationSeries(kind="g15", atoms=(i, j), tau_grid=grid, values=vals, theta=theta)
 
 
@@ -361,14 +361,11 @@ def _three_time(lv, i, j, k, theta, tau_grid, T) -> CorrelationSeries:
     atom j (theta None: g3) or its theta-quadrature amplitude (g25)."""
     grid = _check_grid(tau_grid, lo=0.0, hi=T)
     rho = steady_state(lv)
-    if theta is None:
-        kind, norm = "g3", _stationary_norm(rho, (i, j, k))
-    else:
-        kind, norm = "g25", _stationary_norm(rho, (i, k), (j, theta))
-    vals = _regression(lv, rho, _basis_insertion(i, None), grid, sigma(k, 2, 2).matrix,
-                       mid=_basis_insertion(j, theta), T=T) / norm
-    return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
-                             theta=theta, T=T)
+    record = ((i, None), (j, theta), (k, None))
+    norm = _stationary_norm(rho, record)
+    vals = _regression(lv, rho, record, grid, T) / norm
+    return CorrelationSeries(kind="g3" if theta is None else "g25", atoms=(i, j, k),
+                             tau_grid=grid, values=vals, theta=theta, T=T)
 
 
 def g3(lv: Liouvillian, i: int, j: int, k: int, tau_grid, T: float) -> CorrelationSeries:
@@ -403,9 +400,9 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
         raise ValueError("T grid must be strictly positive")
 
     g2_at_T = g2(lv, i, k, Ts).values
-    norm = _stationary_norm(steady_state(lv), (k,), (j, theta))
+    # the record without its first count: the state chain is over that rate
+    norm = _stationary_norm(steady_state(lv), ((j, theta), (k, None)))
     lv_adj = derive_adjoint(lv)
-    mid = _basis_insertion(j, theta)
     window = 2 * math.pi / lv.params.rabi
     width = np.minimum(2.0 * window, Ts)
     lo = (Ts - width) / 2.0
@@ -420,7 +417,7 @@ def amplitude_ratio(lv: Liouvillian, i: int, j: int, k: int, theta: float, T_gri
             if step:
                 states = states @ lv.propagator(step).T
                 effects = effects @ lv_adj.propagator(step).T
-            ratio = _contract(states, mid, effects) / norm / g2_at_T[n]
+            ratio = _contract(states, (j, theta), effects) / norm / g2_at_T[n]
             stats[:, n] = ratio.max(), ratio.min(), ratio.mean()
     return tuple(CorrelationSeries(kind="amplitude_ratio", atoms=(i, j, k), tau_grid=Ts,
                                    values=vals, theta=theta) for vals in stats)

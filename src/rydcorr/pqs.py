@@ -16,20 +16,18 @@ call. ``g3_via_pqs`` and ``g25_via_pqs`` re-derive g3 and g25 with them along
 a numerically independent path (forward state chain + backward effect chain
 instead of nested forward propagation), which the tests and the benchmark
 compare pointwise against regression. So the forward chain is this route's
-own, never the one regression keeps on the generator: sharing it halved the
-median route deviation over 3,600 ``route_scan`` series (4.3e-5 -> 2.1e-5
-of criterion 06's rule) and hid the one 10.8x series, only because both
-routes then carried the same forward rounding. The pair is marched once per
-generator pair and grid: the state chain stays on the forward generator and
-the effect chain on the adjoint, each in a slot of its own, so g3 and g25
-with the same atoms i and k, grid and T read them back.
+own, never the one regression keeps on the generator, lest both routes
+carry one forward rounding (``_state_chain`` says what sharing it hid).
+The pair is marched once per generator pair and grid: the state chain
+stays on the forward generator and the effect chain on the adjoint, each in
+a slot of its own, so g3 and g25 with the same atoms i and k, grid and T
+read them back.
 """
 
 from __future__ import annotations
 
 from .correlators import (
     CorrelationSeries,
-    _basis_insertion,
     _check_grid,
     _contract,
     _effect_chain,
@@ -45,15 +43,13 @@ def _pqs_three_time(lv, lv_adj, i, j, k, theta, tau_grid, T) -> CorrelationSerie
     """g3 (theta None) or g25 from Tr(E @ O_j(rho_c)) along the grid, where the
     insertion O_j is a count or an amplitude measurement on atom j."""
     grid = _check_grid(tau_grid, lo=0.0, hi=T)
-    rho = steady_state(lv)
-    if theta is None:
-        kind, norm = "g3", _stationary_norm(rho, (j, k))
-    else:
-        kind, norm = "g25", _stationary_norm(rho, (k,), (j, theta))
-    vals = _contract(_state_chain(lv, i, grid), _basis_insertion(j, theta),
+    record = ((i, None), (j, theta), (k, None))
+    # the record without its first count: the state chain is over that rate
+    norm = _stationary_norm(steady_state(lv), record[1:])
+    vals = _contract(_state_chain(lv, i, grid), record[1],
                      _effect_chain(lv_adj, k, grid, T)) / norm
-    return CorrelationSeries(kind=kind, atoms=(i, j, k), tau_grid=grid, values=vals,
-                             theta=theta, T=T)
+    return CorrelationSeries(kind="g3" if theta is None else "g25", atoms=(i, j, k),
+                             tau_grid=grid, values=vals, theta=theta, T=T)
 
 
 def g3_via_pqs(lv: Liouvillian, lv_adj: Liouvillian, i: int, j: int, k: int,

@@ -24,6 +24,7 @@ from rydcorr.correlators import (
     _basis_insertion,
     _inserted,
     _insertion,
+    _readout,
     _stationary_norm,
     _suffix_propagate,
 )
@@ -96,6 +97,20 @@ def test_basis_insertions_are_real(atom, theta):
     assert op.dtype == np.float64
     assert np.array_equal(op, full.real)
     assert np.max(np.abs(full.imag)) <= 1e-16
+
+
+@pytest.mark.parametrize("atom", [1, 2])
+def test_readout_is_the_measured_operator_bit_for_bit(atom):
+    """The identity's coordinates through an insertion are, bit for bit, the
+    coordinates of s22 for a count and of (e^{i theta} s21 + h.c.) / 2 for an
+    amplitude, at seeded theta and at 0 and pi: each correlator's last trace,
+    and so each CSV's bytes, rests on this. The memoised rows are read-only."""
+    assert np.array_equal(_readout(atom, None), _coordinates(vectorize(sigma(atom, 2, 2).matrix)))
+    thetas = [0.0, np.pi, *np.random.default_rng(25).uniform(-7.0, 7.0, 32).tolist()]
+    for theta in thetas:
+        a = 0.5 * np.exp(1j * theta) * sigma(atom, 2, 1).matrix
+        assert np.array_equal(_readout(atom, theta), _coordinates(vectorize(a + a.conj().T)))
+    assert not _readout(atom, THETA).flags.writeable
 
 
 # --- g2 -----------------------------------------------------------------------
@@ -258,8 +273,7 @@ def stepwise_suffix(lv, rows, grid, t_end):
 def inserted_rows(lv, rho, j, theta, grid):
     """The kernel's coordinate rows of g3/g25 (1, j, k) after the middle
     insertion on atom j, one per grid point, before the suffix march."""
-    chain = _coordinate_chain(lv, _inserted(rho, _basis_insertion(1, None)),
-                              np.r_[0.0, grid_steps(grid)])
+    chain = _coordinate_chain(lv, _inserted(rho, (1, None)), np.r_[0.0, grid_steps(grid)])
     return chain @ _basis_insertion(j, theta).T
 
 
@@ -287,10 +301,10 @@ def test_blocked_suffix_march_matches_stepwise(lv, rho_ss, kind, n):
     T = 20.0
     grid = np.linspace(0.0, T, n)
     if kind == "g3":
-        theta, norm = None, _stationary_norm(rho_ss, (1, 1, 2))
+        theta, norm = None, _stationary_norm(rho_ss, ((1, None), (1, None), (2, None)))
         blocked = g3(lv, 1, 1, 2, grid, T).values
     else:
-        theta, norm = THETA, _stationary_norm(rho_ss, (1, 2), (1, THETA))
+        theta, norm = THETA, _stationary_norm(rho_ss, ((1, None), (1, THETA), (2, None)))
         blocked = g25(lv, 1, 1, 2, THETA, grid, T).values
     props = {}
 

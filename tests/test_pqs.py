@@ -242,6 +242,20 @@ def test_pqs_marches_its_own_forward_chain(params, monkeypatch):
     assert chains == ["forward", "adjoint"]
 
 
+def test_route_forward_chains_differ_only_in_division_order(lv):
+    """The state chain divides the count by its rate before the march; the
+    regression route marches the raw count and ``_count_chain`` divides after.
+    So the two forward chains agree bit for bit at delay 0 and in no later
+    row, while staying within rounding of each other: a state chain that
+    divided after the march would give both routes one forward rounding."""
+    grid = np.linspace(0.0, 10.0, 320)
+    states = correlators._state_chain(lv, 1, grid)
+    counts = correlators._count_chain(lv, 1, grid)
+    assert np.array_equal(states[0], counts[0])
+    assert np.all(np.any(states[1:] != counts[1:], axis=1))
+    assert np.max(np.abs(states - counts)) <= 1e-13 * np.max(np.abs(states))
+
+
 def test_pqs_pair_is_marched_once_per_generator_pair_and_grid(params, monkeypatch):
     """g25_via_pqs after g3_via_pqs on the same generators, atoms i and k, grid
     and T reads both chains back: it marches none, and its values are a
