@@ -26,7 +26,7 @@ from .correlators import (
     dominant_frequency,
 )
 from .pqs import g3_via_pqs, g25_via_pqs
-from .trajectories import ClickRecord, TrajectoryBatch, mcwf_run, estimate_g2
+from .trajectories import TrajectoryBatch, mcwf_run, estimate_g2
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "dominant_frequency",
     "g3_via_pqs",
     "g25_via_pqs",
-    "ClickRecord",
     "TrajectoryBatch",
     "mcwf_run",
     "estimate_g2",

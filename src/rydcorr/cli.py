@@ -606,7 +606,7 @@ def _run_trajectories(cfg: argparse.Namespace, out: Path):
     write_clicks_csv(batch, out)
     log = InvariantLog()
     rho = log.add_steady_state(build_liouvillian(p))
-    n_clicks = sum(len(r) for r in batch.records)
+    n_clicks = batch.clicks.size
     entries = [
         ("command", "trajectories"),
         ("stream", STREAM),

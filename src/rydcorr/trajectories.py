@@ -13,20 +13,25 @@ fixed step lattice; ``mcwf_run`` states it.
 Randomness is counter-based and splittable: trajectory n of a batch with
 seed s draws from Philox4x64-10 keyed by the 128-bit pair (s, n), one r at
 its start and then (u, r) per jump (the stream ``STREAM``), so batches are
-reproducible bit-for-bit for a fixed (seed, params, duration, step). A
-trajectory's clicks do not depend on how the steps are blocked, the draws
-chunked or the batch sized, unless a threshold falls within roundoff of a
-squared norm.
+reproducible bit-for-bit for a fixed (seed, params, duration, step). Each
+double is the top 53 bits of one raw 64-bit Philox word times 2^-53, which
+is what numpy's ``Generator.random()`` returns; one bare bit generator,
+re-keyed, reads every trajectory's words. A trajectory's clicks do not
+depend on how the steps are blocked, the draws chunked or the batch sized,
+unless a threshold falls within roundoff of a squared norm.
 
-The ensemble is an independent statistical oracle for the regression engine:
-``estimate_g2`` turns recorded click pairs into a normalized delay histogram
-with stationary-window edge correction and per-bin standard errors.
+A batch keeps its clicks as one table, a structured array sorted by
+(trajectory, time) with per-trajectory offsets into it. The ensemble is an
+independent statistical oracle for the regression engine: ``estimate_g2``
+pairs the table's clicks into a normalized delay histogram with
+stationary-window edge correction and per-bin standard errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +48,6 @@ from .errors import (
 from .model import DIM_PAIR, ModelParams, jump_operators, pair_hamiltonian
 
 __all__ = [
-    "ClickRecord",
     "TrajectoryBatch",
     "mcwf_run",
     "estimate_g2",
@@ -54,33 +58,76 @@ CLICK_CHANNELS = (0, 3)  # C1 of atom 1, C1 of atom 2 in the fixed channel order
 STREAM = "philox4x64-10/v2"  # one threshold per start and (channel, threshold) per jump
 MAX_JUMP_PROBABILITY = 0.1
 MAX_BLOCK_STEPS = 256  # longest block; the powers cache holds U_eff^0 .. U_eff^256
-RNG_CHUNK = 32  # uniforms read from a trajectory's generator at a time
+RNG_CHUNK = 32  # raw words read from a trajectory's stream at a time; a multiple of 4
 # most steps per trajectory: about 500x the 200,160 of the CLI default run
 MAX_STEPS = 10**8
 # most trajectories per batch: 10x criterion 09's 10^4, 1000x the CLI default;
-# each one holds a Philox generator and a row of the uniform buffer
+# each one holds a row of the raw-word buffer
 MAX_TRAJECTORIES = 10**5
+# one row per click: its trajectory, its channel and its time (step + 1) * dt
+CLICK_DTYPE = np.dtype([("trajectory", np.int64), ("channel", np.int64), ("time", np.float64)])
 
 
-@dataclass(frozen=True, slots=True)
-class ClickRecord:
-    """One detected lower-transition photon; slotted, since a batch can hold 10^5 and more."""
+class ClickRecord(NamedTuple):
+    """One click as ``TrajectoryBatch.records`` lists it."""
 
     channel: int
     atom: int
     time: float
 
 
+def _atom(channel: np.ndarray) -> np.ndarray:
+    """The atom of each channel: channels 0-2 are atom 1's, 3-5 atom 2's."""
+    return channel // 3 + 1
+
+
+class _Uniforms:
+    """Trajectory n's doubles in [0, 1), from Philox4x64-10 keyed by (seed, n).
+
+    One bit generator reads every stream, RNG_CHUNK raw words at a time. A
+    Philox stream is a function of its key and a counter that grows by one
+    for every four words, so chunk k of stream n is read from key (seed, n)
+    and counter k * RNG_CHUNK / 4. A double is the top 53 bits of a word
+    times 2^-53, as ``Generator.random()`` makes it.
+    """
+
+    def __init__(self, seed: int, count: int):
+        self.bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self.state = self.bits.state  # a fresh stream: empty buffer, counter 0
+        self.key, self.counter = self.state["state"]["key"], self.state["state"]["counter"]
+        self.words = np.empty((count, RNG_CHUNK), dtype=np.uint64)
+        self.used = np.full(count, RNG_CHUNK)
+        self.chunks = np.zeros(count, dtype=np.int64)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """The next double of each listed trajectory."""
+        empty = rows[self.used[rows] == RNG_CHUNK]
+        for n, k in zip(empty.tolist(), self.chunks[empty].tolist()):
+            self.key[1], self.counter[0] = n, k * (RNG_CHUNK // 4)
+            self.bits.state = self.state
+            self.words[n] = self.bits.random_raw(RNG_CHUNK)
+        self.chunks[empty] += 1
+        self.used[empty] = 0
+        values = (self.words[rows, self.used[rows]] >> 11) * 2.0**-53
+        self.used[rows] += 1
+        return values
+
+
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """Click records plus ensemble population diagnostics for one reproducible run."""
+    """The click table plus ensemble population diagnostics for one reproducible run.
+
+    ``clicks`` is a read-only ``CLICK_DTYPE`` array sorted by (trajectory,
+    time); trajectory n's clicks are rows ``offsets[n]:offsets[n + 1]``.
+    """
 
     seed: int
     count: int
     duration: float
     step: float
     params: ModelParams
-    records: tuple = field(repr=False)
+    clicks: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)  # (count + 1,), into ``clicks``
     sample_times: np.ndarray = field(repr=False)
     level_mean: dict = field(repr=False)  # {"atom1": (S,3), "atom2": (S,3)} ensemble means
     level_sem: dict = field(repr=False)   # matching standard errors of the mean
@@ -96,16 +143,19 @@ class TrajectoryBatch:
         sem = vals.std(ddof=1) / math.sqrt(self.count) if self.count > 1 else 0.0
         return float(vals.mean()), float(sem)
 
+    @property
+    def records(self) -> tuple:
+        """Trajectory n's clicks as ``records[n]``, a tuple of ClickRecords read off the table."""
+        c = self.clicks
+        items = list(map(ClickRecord, c["channel"].tolist(), _atom(c["channel"]).tolist(),
+                         c["time"].tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
+
     def clicks_of_atom(self, atom: int) -> list:
         """Per-trajectory arrays of click times for one atom."""
-        return [
-            np.array([r.time for r in rec if r.atom == atom], dtype=float)
-            for rec in self.records
-        ]
-
-
-def _channel_atom(channel: int) -> int:
-    return 1 if channel < 3 else 2
+        mine = self.clicks[_atom(self.clicks["channel"]) == atom]
+        return np.split(mine["time"], np.searchsorted(mine["trajectory"], np.arange(1, self.count)))
 
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
@@ -121,6 +171,21 @@ def _norm2(rows: np.ndarray) -> np.ndarray:
     """Squared norm of each row of a C-contiguous complex array."""
     v = rows.view(np.float64)
     return np.einsum("ij,ij->i", v, v)
+
+
+def _mean_sem(rows: np.ndarray) -> tuple:
+    """Column means and standard errors of the mean (zero for one row).
+
+    They are numpy's mean(axis=0) and std(axis=0, ddof=1) / sqrt(n),
+    operation for operation; einsum adds the rows in order, as sum(axis=0)
+    does, at a third of its cost.
+    """
+    n = rows.shape[0]
+    mean = np.einsum("ij->j", rows) / n
+    if n == 1:
+        return mean, np.zeros(rows.shape[1])
+    dev = rows - mean
+    return mean, np.sqrt(np.einsum("ij->j", dev * dev) / (n - 1)) / math.sqrt(n)
 
 
 def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
@@ -208,20 +273,7 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     # basis state 3(k1-1) + (k2-1) -> atom 1 in level k1 (columns 0-2), atom 2 in k2 (3-5)
     level_of = np.hstack([np.kron(np.eye(3), np.ones((3, 1))), np.kron(np.ones((3, 1)), np.eye(3))])
 
-    generators = [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-                  for t in range(count)]
-    buffer, used = np.empty((count, RNG_CHUNK)), np.full(count, RNG_CHUNK)
-
-    def draw(rows):
-        """The next double of each listed trajectory; chunks do not change a Philox stream."""
-        empty = rows[used[rows] == RNG_CHUNK]
-        for n in empty.tolist():
-            generators[n].random(out=buffer[n])
-        used[empty] = 0
-        values = buffer[rows, used[rows]]
-        used[rows] += 1
-        return values
-
+    draw = _Uniforms(seed, count)
     sample_times = []
     mean_rows, sem_rows = [], []
     late_sum = np.zeros((count, 6))
@@ -233,9 +285,9 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
         absq = psi.real ** 2 + psi.imag ** 2
         pops = (absq @ level_of) / absq.sum(axis=1)[:, None]
         sample_times.append(t_now)
-        mean_rows.append(pops.mean(axis=0))
-        sem_rows.append(pops.std(axis=0, ddof=1) / math.sqrt(count) if count > 1
-                        else np.zeros(6))
+        mean, sem = _mean_sem(pops)
+        mean_rows.append(mean)
+        sem_rows.append(sem)
         if t_now >= half_time:
             late_samples += 1
             late_sum += pops
@@ -305,17 +357,20 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
             end = _row_times(state, powers, span - at)
     take_sample(n_steps * dt, psi)
 
-    per_traj: list[list[ClickRecord]] = [[] for _ in range(count)]
     traj, steps, chans = (np.concatenate(x) for x in zip(*clicks))
     order = np.lexsort((steps, traj))
-    for idx, c, s in zip(traj[order].tolist(), chans[order].tolist(), steps[order].tolist()):
-        per_traj[idx].append(ClickRecord(channel=c, atom=_channel_atom(c), time=(s + 1) * dt))
-    records = tuple(tuple(lst) for lst in per_traj)
+    table = np.empty(order.size, dtype=CLICK_DTYPE)
+    table["trajectory"], table["channel"] = traj[order], chans[order]
+    table["time"] = (steps[order] + 1) * dt
+    table.flags.writeable = False
+    offsets = np.searchsorted(table["trajectory"], np.arange(count + 1))
+    offsets.flags.writeable = False
     mean, sem = np.array(mean_rows), np.array(sem_rows)
     late = late_sum / max(late_samples, 1)
 
     return TrajectoryBatch(
-        seed=seed, count=count, duration=duration, step=dt, params=p, records=records,
+        seed=seed, count=count, duration=duration, step=dt, params=p, clicks=table,
+        offsets=offsets,
         sample_times=np.array(sample_times),
         level_mean={"atom1": mean[:, :3], "atom2": mean[:, 3:]},
         level_sem={"atom1": sem[:, :3], "atom2": sem[:, 3:]},
@@ -331,8 +386,10 @@ def estimate_g2(batch: TrajectoryBatch, i: int, j: int, tau_grid, bin_width: flo
     Bins are centered on ``tau_grid`` with width ``bin_width``; counts are
     normalized by the measured rate product, the bin width and the available
     stationary window (duration - t_min - tau), and tagged with Poisson
-    standard errors. Pairs whose first click falls before ``t_min`` are
-    discarded so an initial transient can be excluded.
+    standard errors. A pair is two clicks of one trajectory with delay
+    d = t_j - t_i > 0, counted in a bin when lo <= d < hi. Pairs whose first
+    click falls before ``t_min`` are discarded so an initial transient can be
+    excluded.
     """
     centers = np.asarray(tau_grid, dtype=float)
     if centers.ndim != 1 or centers.size == 0 or np.any(np.diff(centers) <= 0):
@@ -344,10 +401,11 @@ def estimate_g2(batch: TrajectoryBatch, i: int, j: int, tau_grid, bin_width: flo
     if np.any(avail <= 0):
         raise ValueError("tau_grid extends beyond the stationary window")
 
-    clicks_i = batch.clicks_of_atom(i)
-    clicks_j = batch.clicks_of_atom(j)
-    n_i = sum(int(np.sum(t >= t_min)) for t in clicks_i)
-    n_j = sum(int(np.sum(t >= t_min)) for t in clicks_j)
+    atoms = _atom(batch.clicks["channel"])
+    first = batch.clicks[(atoms == i) & (batch.clicks["time"] >= t_min)]
+    second = batch.clicks[atoms == j]
+    n_i = first.size
+    n_j = int(np.count_nonzero(second["time"] >= t_min))
     if n_i == 0 or n_j == 0:
         raise InsufficientStatisticsError("no clicks on one of the atoms in the window")
     rate_i = n_i / (batch.count * window)
@@ -363,12 +421,18 @@ def estimate_g2(batch: TrajectoryBatch, i: int, j: int, tau_grid, bin_width: flo
 
     lo = centers - bin_width / 2.0
     hi = centers + bin_width / 2.0
-    delays = [np.zeros(0)]
-    for ta, tb in zip(clicks_i, clicks_j):
-        ta = ta[ta >= t_min]
-        d = (tb[None, :] - ta[:, None]).ravel()
-        delays.append(d[(d > 0) & (d < hi[-1])])
-    delays = np.sort(np.concatenate(delays))
+    # numpy orders complex numbers by real part, then imaginary part, so
+    # trajectory + 1j * time keys sort as the table's rows do. Each first click
+    # pairs with the second clicks of its trajectory from the first later one
+    # (d > 0) through the last at or before t + hi[-1], rounded; that takes in
+    # every d < hi[-1], and the bin counts ignore the longer ones.
+    key = second["trajectory"] + 1j * second["time"]
+    start = np.searchsorted(key, first["trajectory"] + 1j * first["time"], side="right")
+    stop = np.searchsorted(key, first["trajectory"] + 1j * (first["time"] + hi[-1]),
+                           side="right")
+    n_pairs = np.maximum(stop - start, 0)
+    at = np.arange(n_pairs.sum()) + np.repeat(start - (np.cumsum(n_pairs) - n_pairs), n_pairs)
+    delays = np.sort(second["time"][at] - np.repeat(first["time"], n_pairs))
     # pairs in [lo, hi) = #(d >= lo) - #(d >= hi); both are exact comparisons
     counts = (np.searchsorted(delays, hi) - np.searchsorted(delays, lo)).astype(float)
 
@@ -379,12 +443,15 @@ def estimate_g2(batch: TrajectoryBatch, i: int, j: int, tau_grid, bin_width: flo
 
 
 def write_clicks_csv(batch: TrajectoryBatch, path) -> None:
-    """Dump the click records, one line per click: trajectory_index,channel,atom,time."""
+    """Dump the click table, one line per click: trajectory_index,channel,atom,time."""
+    # one %-format for the whole table, its fields interleaved row by row
+    c = batch.clicks
+    fields = [None] * (4 * c.size)
+    fields[0::4], fields[1::4] = c["trajectory"].tolist(), c["channel"].tolist()
+    fields[2::4], fields[3::4] = _atom(c["channel"]).tolist(), c["time"].tolist()
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("trajectory_index,channel,atom,time\n")
-            for idx, rec in enumerate(batch.records):
-                for r in rec:
-                    fh.write(f"{idx},{r.channel},{r.atom},{r.time:.11e}\n")
+            fh.write("%d,%d,%d,%.11e\n" * c.size % tuple(fields))
     except OSError as exc:
         raise IoFailureError(f"cannot write click records to {path}: {exc}") from exc

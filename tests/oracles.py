@@ -5,8 +5,9 @@ shares no kernel with the code it checks: the pointwise correlator against
 the batched insertion kernel of ``rydcorr.correlators``, the dark state and
 the atom swap against the model's Hamiltonian, steady state and jump
 operators, the generator term by term against ``liouville``'s assembly,
-and the Hermitian operator basis written out from its definition against
-``rydcorr.algebra``'s index arithmetic.
+the Hermitian operator basis written out from its definition against
+``rydcorr.algebra``'s index arithmetic, and the g2 pair count click by
+click and bin by bin against the searches of ``trajectories.estimate_g2``.
 """
 
 import numpy as np
@@ -133,3 +134,38 @@ def conjugation_defect(eigenvalues):
     eigenvalue: 0 for a multiset closed under conjugation."""
     w = np.asarray(eigenvalues, dtype=complex)
     return float(np.abs(w.conj()[:, np.newaxis] - w[np.newaxis, :]).min(axis=1).max())
+
+
+def g2_pair_estimate(clicks, count, duration, i, j, centers, bin_width, t_min):
+    """The g2 delay histogram of a click table, one pair and one bin at a time.
+
+    ``clicks`` holds (trajectory, channel, time) rows; channels 0-2 belong to
+    atom 1 and 3-5 to atom 2. Every click of atom i at or after ``t_min`` is
+    paired with every click of atom j in the same trajectory, and the delay
+    d = t_j - t_i counts in bin k when d > 0 and lo_k <= d < hi_k, the bin
+    edges being the centers -/+ bin_width / 2. The counts are normalized, and
+    given Poisson standard errors, with the arithmetic of ``estimate_g2``.
+    Returns (values, stderr).
+    """
+    firsts, seconds = [[] for _ in range(count)], [[] for _ in range(count)]
+    for n, c, t in clicks:
+        atom = 1 if c < 3 else 2
+        if atom == i and t >= t_min:
+            firsts[n].append(float(t))
+        if atom == j:
+            seconds[n].append(float(t))
+    counts = np.zeros(len(centers))
+    for n in range(count):
+        for ta in firsts[n]:
+            for tb in seconds[n]:
+                d = tb - ta
+                for k, c in enumerate(centers):
+                    if d > 0 and c - bin_width / 2.0 <= d < c + bin_width / 2.0:
+                        counts[k] += 1
+    n_i = sum(map(len, firsts))
+    n_j = sum(t >= t_min for times in seconds for t in times)
+    window = duration - t_min
+    rate_i = n_i / (count * window)
+    rate_j = n_j / (count * window)
+    expected = count * rate_i * rate_j * bin_width * (window - np.asarray(centers))
+    return counts / expected, np.sqrt(np.maximum(counts, 1.0)) / expected

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -748,6 +749,28 @@ def test_trajectories_command(tmp_path):
     assert entries["counter.audit.eigvalsh_stacks"] == "0"
     assert entries["invariant.states_checked"] == "1"
     assert entries["invariant.overall"] == "pass"
+
+
+# SHA-256 of clicks.csv and of the manifest's non-volatile lines (each with
+# its newline) of the pinned trajectories run: 979 clicks, stream v2
+PINNED_TRAJECTORIES = (
+    "trajectories --omega1 1 --omega2 2 --gamma2 0.2 --gammaph 0.2 --trajectories 200 "
+    "--duration 20 --seed 3",
+    "b69a76b57a02702dc72ef8c2f21b26ccd741d8ced07fbea513d766434a2fc23d",
+    "abd052ec048ae3bfe194efd624804ae527dd8d87d82838a63fdd2cb1c6b71c41",
+)
+
+
+def test_trajectories_run_is_pinned_byte_for_byte(tmp_path, monkeypatch):
+    """The clicks and the deterministic manifest of one bright run keep their bytes."""
+    argv, clicks_digest, manifest_digest = PINNED_TRAJECTORIES
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv.split()) == 0
+    assert hashlib.sha256((tmp_path / "clicks.csv").read_bytes()).hexdigest() == clicks_digest
+    lines = (tmp_path / "clicks.manifest").read_text().splitlines()
+    kept = "".join(f"{line}\n" for line in lines if not line.startswith(cli.VOLATILE_KEYS))
+    assert "clicks_total = 979\n" in kept and "outputs = clicks.csv\n" in kept
+    assert hashlib.sha256(kept.encode()).hexdigest() == manifest_digest
 
 
 @pytest.mark.parametrize("setting, recorded", [(None, "1"), ("2", "2")])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from rydcorr.errors import (
     TooManyTrajectoriesError,
 )
 from rydcorr.model import jump_operators, pair_hamiltonian, sigma
-from rydcorr.trajectories import ClickRecord, TrajectoryBatch, write_clicks_csv
+from rydcorr.trajectories import CLICK_DTYPE, TrajectoryBatch, write_clicks_csv
 
 from conftest import BRIGHT
-from oracles import dark_state
+from oracles import dark_state, g2_pair_estimate
 
 GROUND = np.zeros((9, 9), dtype=complex)
 GROUND[0, 0] = 1.0
@@ -38,28 +39,48 @@ def empty_diag():
     }
 
 
+def table_batch(rows, count, duration, seed=0):
+    """A batch whose click table holds the (trajectory, channel, time) rows."""
+    clicks = np.array(sorted(rows, key=lambda r: (r[0], r[2])), dtype=CLICK_DTYPE)
+    offsets = np.searchsorted(clicks["trajectory"], np.arange(count + 1))
+    return TrajectoryBatch(seed=seed, count=count, duration=duration, step=0.0, params=BRIGHT,
+                           clicks=clicks, offsets=offsets, **empty_diag())
+
+
 def poisson_batch(rate, count, duration, seed):
     rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(count):
-        recs = []
-        for atom, channel in ((1, 0), (2, 3)):
-            n = rng.poisson(rate * duration)
-            for t in np.sort(rng.uniform(0.0, duration, size=n)):
-                recs.append(ClickRecord(channel=channel, atom=atom, time=float(t)))
-        recs.sort(key=lambda r: r.time)
-        records.append(tuple(recs))
-    return TrajectoryBatch(seed=seed, count=count, duration=duration, step=0.0,
-                           params=BRIGHT, records=tuple(records), **empty_diag())
+    rows = []
+    for n in range(count):
+        for channel in (0, 3):
+            size = rng.poisson(rate * duration)
+            rows.extend((n, channel, t) for t in np.sort(rng.uniform(0.0, duration, size=size)))
+    return table_batch(rows, count, duration, seed)
 
 
 def test_batch_reproducibility():
     a = mcwf_run(BRIGHT, duration=15.0, step=0.004, seed=5, count=150)
     b = mcwf_run(BRIGHT, duration=15.0, step=0.004, seed=5, count=150)
-    assert a.records == b.records
+    assert np.array_equal(a.clicks, b.clicks) and np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.level_mean["atom1"], b.level_mean["atom1"])
     c = mcwf_run(BRIGHT, duration=15.0, step=0.004, seed=6, count=150)
-    assert a.records != c.records
+    assert not np.array_equal(a.clicks, c.clicks)
+
+
+def test_click_table_is_sorted_and_read_only():
+    batch = mcwf_run(BRIGHT, duration=15.0, step=0.004, seed=5, count=150)
+    clicks, offsets = batch.clicks, batch.offsets
+    assert clicks.dtype == CLICK_DTYPE and offsets.shape == (151,)
+    assert offsets[0] == 0 and offsets[-1] == clicks.size
+    assert np.array_equal(np.repeat(np.arange(150), np.diff(offsets)), clicks["trajectory"])
+    assert np.isin(clicks["channel"], trajectories.CLICK_CHANNELS).all()
+    assert not clicks.flags.writeable and not offsets.flags.writeable
+    # the records view reads the same rows, trajectory by trajectory
+    records = batch.records
+    assert len(records) == 150
+    rows = [(n, r.channel, r.time) for n, rec in enumerate(records) for r in rec]
+    assert rows == click_rows(batch)
+    assert {r.atom for rec in records for r in rec if r.channel == 0} == {1}
+    assert {r.atom for rec in records for r in rec if r.channel == 3} == {2}
 
 
 HIGH_RATE = ModelParams(omega1=2.0, omega2=2.0, v12=5.0, gamma2=3.0, gamma_ph=20.0)
@@ -90,7 +111,8 @@ V2_STREAM = {
 
 
 def click_rows(batch):
-    return [(n, r.channel, r.time) for n, rec in enumerate(batch.records) for r in rec]
+    c = batch.clicks
+    return list(zip(c["trajectory"].tolist(), c["channel"].tolist(), c["time"].tolist()))
 
 
 @pytest.mark.parametrize("case", sorted(V2_STREAM))
@@ -166,13 +188,14 @@ def test_records_match_stepwise_rule(case):
 def test_records_do_not_depend_on_block_length_or_batch_size():
     kw = dict(duration=12.0, step=0.004, seed=21, count=30)
     runs = [mcwf_run(BRIGHT, sample_every=every, **kw) for every in (1, 62, 700)]
-    assert len(click_rows(runs[0])) > 50
+    assert runs[0].clicks.size > 50
     for other in runs[1:]:
-        assert click_rows(other) == click_rows(runs[0])
+        assert np.array_equal(other.clicks, runs[0].clicks)
+        assert np.array_equal(other.offsets, runs[0].offsets)
         assert other.jumps == runs[0].jumps
     alone = mcwf_run(BRIGHT, **dict(kw, count=1))
-    assert len(alone.records[0]) > 0
-    assert alone.records[0] == runs[1].records[0]
+    assert alone.clicks.size > 0
+    assert np.array_equal(alone.clicks, runs[1].clicks[:runs[1].offsets[1]])
 
 
 def test_first_jump_times_follow_no_jump_norm():
@@ -188,7 +211,8 @@ def test_first_jump_times_follow_no_jump_norm():
     batch = mcwf_run(p, duration=duration, step=0.004, seed=2024, count=n)
     assert batch.jumps[0] + batch.jumps[3] == sum(batch.jumps)
     n_steps = round(duration / batch.step)
-    first = np.array([round(rec[0].time / batch.step) for rec in batch.records if rec])
+    starts = batch.offsets[:-1][np.diff(batch.offsets) > 0]
+    first = np.round(batch.clicks["time"][starts] / batch.step).astype(int)
     empirical = np.searchsorted(np.sort(first), np.arange(1, n_steps + 1), side="right") / n
     cs = [c.matrix for c in jump_operators(p)]
     h_eff = pair_hamiltonian(p).matrix - 0.5j * sum(c.conj().T @ c for c in cs)
@@ -200,14 +224,14 @@ def test_first_jump_times_follow_no_jump_norm():
 def test_no_lower_drive_means_no_clicks():
     p = ModelParams(omega1=0.0, omega2=2.0, v12=1.0, gamma2=0.1, gamma_ph=0.1)
     batch = mcwf_run(p, duration=20.0, step=0.004, seed=1, count=50)
-    assert sum(len(r) for r in batch.records) == 0
+    assert batch.clicks.size == 0 and not batch.offsets.any()
 
 
 def test_dark_state_emits_nothing():
     p = ModelParams(gamma2=0.0, gamma_ph=0.0, v12=0.0)
     _, dd = dark_state(p)
     batch = mcwf_run(p, duration=20.0, step=0.0019, seed=1, count=50, initial=dd)
-    assert sum(len(r) for r in batch.records) == 0
+    assert batch.clicks.size == 0
 
 
 def test_step_limit_enforced():
@@ -271,9 +295,36 @@ def test_sample_period_must_be_positive(sample_every):
 
 
 def test_click_times_strictly_increasing(bright_batch):
-    for rec in bright_batch.records:
-        times = [r.time for r in rec]
-        assert all(b > a for a, b in zip(times, times[1:]))
+    step = np.diff(bright_batch.clicks["trajectory"])
+    assert np.all(step >= 0)
+    assert np.all(np.diff(bright_batch.clicks["time"])[step == 0] > 0)
+
+
+def test_uniforms_are_generator_random_bit_for_bit():
+    """Trajectory n's doubles are Generator.random()'s on Philox key (s, n),
+    across chunk refills, however often its neighbours draw."""
+    seed, count, size = 2**63, trajectories.MAX_TRAJECTORIES, 4 * trajectories.RNG_CHUNK + 3
+    draw = trajectories._Uniforms(seed, count)
+    first, last = [], []
+    for k in range(size):
+        values = draw(np.array([0, count - 1]) if k % 3 else np.array([0]))
+        first.append(values[0])
+        last.extend(values[1:])
+    while len(last) < size:
+        last.extend(draw(np.array([count - 1])))
+    for n, drawn in ((0, first), (count - 1, last)):
+        key = np.array([seed, n], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).random(size)
+        assert np.array_equal(np.array(drawn), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 150, 1000, 10_000])
+def test_sample_mean_and_sem_are_numpys_bit_for_bit(n):
+    rows = np.random.default_rng(n).random((n, 6)) ** 3
+    mean, sem = trajectories._mean_sem(rows)
+    assert np.array_equal(mean, rows.mean(axis=0))
+    expected = rows.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(6)
+    assert np.array_equal(sem, expected)
 
 
 def test_click_rate_matches_steady_emission(bright_batch):
@@ -346,30 +397,57 @@ def test_g2_estimator_cross_matches_regression(bright_batch):
         assert abs(v - target) < 4 * se
 
 
+def assert_estimate_is_oracles(batch, i, j, centers, bw, t_min):
+    est = estimate_g2(batch, i, j, centers, bw, t_min=t_min)
+    values, stderr = g2_pair_estimate(batch.clicks.tolist(), batch.count, batch.duration, i, j,
+                                      centers, bw, t_min)
+    assert np.array_equal(est.values, values)
+    assert np.array_equal(est.stderr, stderr)
+    return est
+
+
 def test_g2_estimator_matches_brute_force_count():
     batch = poisson_batch(rate=0.3, count=60, duration=100.0, seed=4)
     bw, t_min = 0.4, 10.0
     centers = np.arange(0.1, 5.0, bw)  # the first bin reaches below zero delay
-    est = estimate_g2(batch, 2, 1, centers, bw, t_min=t_min)
-    counts = np.zeros(centers.size)
-    n_i = n_j = 0
-    for rec in batch.records:
-        first = [r.time for r in rec if r.atom == 2 and r.time >= t_min]
-        second = [r.time for r in rec if r.atom == 1]
-        n_i += len(first)
-        n_j += sum(t >= t_min for t in second)
-        for ta in first:
-            for tb in second:
-                d = tb - ta
-                for k, c in enumerate(centers):
-                    if d > 0 and c - bw / 2 <= d < c + bw / 2:
-                        counts[k] += 1
-    window = batch.duration - t_min
-    norm = n_i * n_j / (batch.count * window ** 2) * bw * (window - centers)
-    assert counts.sum() > 1000
-    np.testing.assert_allclose(est.values, counts / norm, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(est.stderr, np.sqrt(np.maximum(counts, 1.0)) / norm,
-                               rtol=1e-13, atol=0)
+    est = assert_estimate_is_oracles(batch, 2, 1, centers, bw, t_min)
+    # (value / stderr)^2 is the pair count of each bin that holds a pair
+    assert ((est.values / est.stderr) ** 2).sum() > 1000
+
+
+def edge_case_batch():
+    """A Poisson table plus hand-placed clicks on the estimator's edges.
+
+    Bins of width 0.5 are centered on 0.125, 0.625, .., 2.625: the first
+    reaches below zero delay and the last ends at 2.875. t_min is 20.
+    Trajectories 0-35 are Poisson; 36 and 40 are empty; 37 holds delays on
+    the edges; 38 has clicks on atom 1 only and 39 on atom 2 only; 41 ends
+    the table. The placed times are dyadic, so their delays are exact,
+    except in 41.
+    """
+    count, duration, t_min, last_hi = 42, 100.0, 20.0, 2.875
+    rows = poisson_batch(rate=0.5, count=36, duration=duration, seed=12).clicks.tolist()
+    rows += [
+        # a first click exactly at t_min with an equal time on the other atom
+        # (d = 0), then delays exactly on a hi and the next lo (0.375, 0.875)
+        # and exactly on the last hi (2.875)
+        (37, 0, t_min), (37, 3, t_min), (37, 3, 20.375), (37, 3, 20.875), (37, 3, 22.875),
+        (37, 0, 21.0), (37, 0, 21.875),
+        (38, 0, 12.5), (38, 0, 40.0), (38, 0, 40.5),
+        (39, 3, 10.0), (39, 3, 60.0), (39, 3, 60.25),
+    ]
+    # t + 2.875 rounds to a time whose delay from t rounds to below 2.875
+    t = next(t for t in np.linspace(62.0, 63.0, 10_001) if (t + last_hi) - t < last_hi)
+    rows += [(41, 0, t), (41, 3, t + last_hi), (41, 0, t + last_hi), (41, 3, 99.5)]
+    return table_batch(rows, count, duration), t_min
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (1, 1), (2, 2)])
+def test_g2_estimator_edge_cases_match_the_oracle(i, j):
+    batch, t_min = edge_case_batch()
+    assert np.array_equal(np.diff(batch.offsets)[[36, 40]], [0, 0])
+    assert batch.clicks["trajectory"][-1] == 41
+    assert_estimate_is_oracles(batch, i, j, np.arange(0.125, 3.0, 0.5), 0.5, t_min)
 
 
 def test_g2_estimator_flags_thin_statistics():
@@ -392,10 +470,12 @@ def test_clicks_csv_round_trip(tmp_path, bright_batch):
     write_clicks_csv(bright_batch, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trajectory_index,channel,atom,time"
-    n_clicks = sum(len(r) for r in bright_batch.records)
-    assert len(lines) == n_clicks + 1
-    first = lines[1].split(",")
-    assert first[1] in ("0", "3")
-    assert first[2] in ("1", "2")
+    assert len(lines) == bright_batch.clicks.size + 1
+    data = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    clicks = bright_batch.clicks
+    assert np.array_equal(data[:, 0], clicks["trajectory"])
+    assert np.array_equal(data[:, 1], clicks["channel"])
+    assert np.array_equal(data[:, 2], np.where(clicks["channel"] < 3, 1, 2))
+    np.testing.assert_allclose(data[:, 3], clicks["time"], rtol=1e-11, atol=0)
     write_clicks_csv(bright_batch, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
