@@ -57,8 +57,6 @@ EXPM_RTOL = 1e-10
 EIG_RESIDUAL_RTOL = 1e-8
 EIG_CONDITION_LIMIT = 1e12
 
-_SQRT2 = math.sqrt(2.0)
-
 
 def _as_matrix(m, name="matrix", keep_real=False):
     """Coerce to a finite 2-D complex array, or float64 for a real input with keep_real."""
@@ -103,8 +101,7 @@ def eig(blocks, whole):
     B / max|whole| so that no norm overflows to an inf bound that passes
     anything, and refuses near-defective eigenvectors over all the blocks
     together (:func:`_check_condition`), as one decomposition of the whole
-    would. A real block's V has its singular values from a real SVD
-    (:func:`_real_eigenvector_columns`)."""
+    would."""
     ref = _as_matrix(whole, "whole", keep_real=True)
     scale = float(np.max(np.abs(ref))) or 1.0
     norm = max(np.linalg.norm(ref / scale), 1e-300)
@@ -118,8 +115,7 @@ def eig(blocks, whole):
         if np.any(residual > bound):
             worst = float(np.max(residual / np.maximum(bound, 1e-300)))
             raise AccuracyNotMetError(f"eigenpair residual exceeds contract by factor {worst:.3e}")
-        cols = vr if np.iscomplexobj(a) else _real_eigenvector_columns(w, vr)
-        svals.append(np.linalg.svd(cols, compute_uv=False))
+        svals.append(np.linalg.svd(vr, compute_uv=False))
         pairs.append((w, vr))
     _check_condition(*svals)
     return pairs
@@ -137,24 +133,6 @@ def _check_condition(*singular_values):
         raise NearDefectiveError(
             f"eigenvector matrix condition number {cond:.3e} exceeds {EIG_CONDITION_LIMIT:.1e}"
         )
-
-
-def _real_eigenvector_columns(w, vr):
-    """Real columns with the singular values of the eigenvectors V of a real
-    matrix: Re v for a real eigenvalue, and sqrt2 Re v or sqrt2 Im v for the
-    member of a conjugate pair with positive or negative imaginary part.
-
-    The real ``dgeev`` returns each pair's vectors as exact conjugates
-    v, conj(v), and [v, conj(v)] = sqrt2 [Re v, Im v] Q with Q = [[1, 1],
-    [i, -i]] / sqrt2 unitary. So these columns are V times a unitary matrix
-    (Q for each pair, up to column order and sign) and have V's singular
-    values.
-    """
-    cols = vr.real.copy()
-    upper, lower = w.imag > 0, w.imag < 0
-    cols[:, upper] *= _SQRT2
-    cols[:, lower] = vr.imag[:, lower] * _SQRT2
-    return cols
 
 
 def vectorize(m):

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -197,10 +198,26 @@ def read_config_file(path) -> dict:
     return values
 
 
+def _reads_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose own errors (an unknown flag or command, a flag
     without its value) raise BadValueError, so that ``main`` returns 2 with
-    argparse's message, which names the argument, instead of exiting."""
+    argparse's message, which names the argument, instead of exiting.
+
+    A token that float() reads (-2.5e1, -1e-3, -inf) is a flag's value, as it
+    is in a config file; argparse's own negative-number pattern takes only
+    forms like -25 and -2.5, and reads the others as unknown flags."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = SimpleNamespace(match=_reads_as_float)
 
     def error(self, message):
         raise BadValueError(message)

@@ -88,7 +88,6 @@ __all__ = [
     "propagate",
     "grid_steps",
     "spectrum",
-    "state_residuals",
 ]
 
 DIM_SUPER = DIM_PAIR * DIM_PAIR
@@ -116,7 +115,10 @@ PROPAGATOR_CACHE_SIZE = 64
 # recipes and the commands' default grids keep at most 797 (fig2, fig3a,
 # fig3b), so each audit reads its panel's chain back, while a long grid
 # (the mcwf benchmark's g2 check: 2,401 rows, 1.6 MB) is not held as long
-# as its generator lives; a longer chain is marched again, to the same bits
+# as its generator lives; a longer chain is marched again, to the same bits.
+# Keeping every chain instead spares `g2 --tau-max 100` its second 3,187-row
+# march, but raised the mcwf benchmark's peak_rss_mb from 68.1 to 69.6-69.9 MB
+# (3 pairs of 6 s): its master-equation check keeps the generator alive
 KEPT_CHAIN_ROWS = 1024
 
 # density/effect-matrix residuals the run audit accepts (cli.InvariantLog.ok)
@@ -594,10 +596,3 @@ def _trace_deviation(m: np.ndarray) -> np.ndarray:
     """|Tr m - 1| of a complex 9x9 matrix, or of each in a stack."""
     dev = np.trace(m, axis1=-2, axis2=-1) - 1.0
     return np.hypot(dev.real, dev.imag)  # rounds as abs() of one complex does
-
-
-def state_residuals(m: np.ndarray) -> dict:
-    """Trace deviation |Tr m - 1| and smallest eigenvalue of a Hermitian 9x9
-    matrix, or of each in a stack (``eigvalsh`` reads the lower triangle)."""
-    m = np.asarray(m, dtype=complex)
-    return {"trace_dev": _trace_deviation(m), "min_eig": np.linalg.eigvalsh(m).min(axis=-1)}

@@ -152,11 +152,6 @@ class TrajectoryBatch:
         bounds = self.offsets.tolist()
         return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    def clicks_of_atom(self, atom: int) -> list:
-        """Per-trajectory arrays of click times for one atom."""
-        mine = self.clicks[_atom(self.clicks["channel"]) == atom]
-        return np.split(mine["time"], np.searchsorted(mine["trajectory"], np.arange(1, self.count)))
-
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1)[:, None]

@@ -1,3 +1,9 @@
+import os
+
+# one BLAS thread unless the caller sets a value, as the rydcorr console script
+# and CI do; OpenBLAS reads this once, when numpy loads it, so it goes first
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

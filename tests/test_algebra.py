@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
 
 from rydcorr import ModelParams, algebra, build_liouvillian
 from rydcorr.errors import (
@@ -14,7 +13,6 @@ from rydcorr.errors import (
 )
 
 from oracles import hermitian_basis_unitary
-from test_properties import rates
 
 RNG = np.random.default_rng(20260809)
 
@@ -108,40 +106,6 @@ def test_condition_of_blocks_is_taken_together():
         algebra._check_condition(s)
     with pytest.raises(NearDefectiveError, match="1.500e"):
         algebra._check_condition(*svals)
-
-
-def eigenvector_conditions(m):
-    """cond of a real matrix's complex eigenvectors, and of their real columns."""
-    w, vr = scipy.linalg.eig(m)
-    return np.linalg.cond(vr), np.linalg.cond(algebra._real_eigenvector_columns(w, vr))
-
-
-def test_real_eigenvector_columns_have_the_complex_condition_number():
-    complex_cond, real_cond = eigenvector_conditions(build_liouvillian(ModelParams()).real)
-    assert real_cond == pytest.approx(complex_cond, rel=1e-12, abs=0)
-
-
-@settings(derandomize=True, deadline=None, max_examples=20)
-@given(rates)
-def test_real_eigenvector_columns_condition_across_parameter_space(drawn):
-    """Log-uniform draws of the five rates within three decades of the reference."""
-    complex_cond, real_cond = eigenvector_conditions(build_liouvillian(ModelParams(**drawn)).real)
-    assert real_cond == pytest.approx(complex_cond, rel=1e-12, abs=0)
-
-
-def test_eig_takes_the_real_condition_number_for_real_input_only(monkeypatch):
-    real_columns = algebra._real_eigenvector_columns
-    seen = []
-    monkeypatch.setattr(algebra, "_real_eigenvector_columns",
-                        lambda w, vr: seen.append(w.size) or real_columns(w, vr))
-    m = RNG.standard_normal((9, 9))
-    algebra.eig([m], m)
-    algebra.eig([m.astype(complex)], m.astype(complex))
-    assert seen == [9]
-    jordan = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
-    with pytest.raises(NearDefectiveError):
-        algebra.eig([jordan], jordan)
-    assert seen == [9, 3]
 
 
 def test_vectorize_round_trip_exact():

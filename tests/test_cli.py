@@ -347,7 +347,7 @@ def test_stack_from_coordinates_is_the_transposed_audit_stack(params):
     assert np.array_equal(np.einsum("nkk->nk", stack), np.einsum("nkk->nk", transposed))
     log = cli.InvariantLog()
     log.add_coordinates(rows)
-    assert log.max_trace_dev == np.max(liouville.state_residuals(transposed)["trace_dev"])
+    assert log.max_trace_dev == np.max(np.abs(np.trace(transposed, axis1=1, axis2=2) - 1.0))
     assert log.ok and log.checked == 638 and log.eigvalsh_stacks == 0 and log.min_eig == 0.0
 
 
@@ -594,17 +594,20 @@ def test_trajectory_count_bound_of_mcwf_run_exits_2(tmp_path, monkeypatch):
 NUMERIC_KEYS = [key for key in cli.OPTIONS if key not in ("atoms", "out")]
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "spaced-flag", "config"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 @pytest.mark.parametrize("key", NUMERIC_KEYS)
 def test_bad_number_exits_2_from_flag_or_config(tmp_path, monkeypatch, capsys, key, value,
                                                 source):
     """A value that is not a finite number exits 2, naming its key, whether it
-    comes from a flag or a config file, before any generator is built."""
+    comes from a flag (--key=value or --key value) or a config file, before
+    any generator is built."""
     refuse_generators(monkeypatch)
     refuse_philox(monkeypatch)
     if source == "flag":
         argv = [f"--{key.replace('_', '-')}={value}"]
+    elif source == "spaced-flag":
+        argv = [f"--{key.replace('_', '-')}", value]
     else:
         (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
         argv = ["--config", str(tmp_path / "run.cfg")]
@@ -618,9 +621,7 @@ def test_bad_number_exits_2_from_flag_or_config(tmp_path, monkeypatch, capsys, k
     (["g2", "--bogus", "1"], "--bogus"),
     (["g9"], "'g9'"),
     (["g2", "--omega1"], "--omega1"),
-    # argparse reads "-inf" after a space as an option, so --theta has no value
-    (["g15", "--theta", "-inf"], "--theta"),
-], ids=["unknown-flag", "unknown-command", "flag-without-value", "theta-minus-inf"])
+], ids=["unknown-flag", "unknown-command", "flag-without-value"])
 def test_argument_errors_return_2(tmp_path, monkeypatch, capsys, argv, named):
     """argparse's own errors end in main's return value 2, with a message that
     names the bad argument, as a bad value does; nothing is built or written."""
@@ -628,6 +629,28 @@ def test_argument_errors_return_2(tmp_path, monkeypatch, capsys, argv, named):
     assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
     assert named in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("token", ["-2.5e1", "-1e-3", "-2.5E+1", "-.5e1", "-1_0e0", "-1E3"])
+def test_negative_number_after_a_space_is_a_value(token):
+    """Any token that float() reads is a flag's value, not an unknown flag."""
+    assert cli.parse_config(["g15", "--theta", token]).theta == float(token)
+
+
+def test_negative_exponent_value_same_from_each_source(tmp_path):
+    """--tau-min -2.5e1, --tau-min=-2.5e1 and a config file's tau_min = -2.5e1
+    write the same bytes."""
+    (tmp_path / "run.cfg").write_text("tau_min = -2.5e1\n")
+    forms = {"spaced": ["--tau-min", "-2.5e1"], "joined": ["--tau-min=-2.5e1"],
+             "config": ["--config", str(tmp_path / "run.cfg")]}
+    for name, argv in forms.items():
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["g15", *argv, "--tau-max", "1", "--out", str(out)]) == 0
+    csvs = {(tmp_path / f"{name}.csv").read_bytes() for name in forms}
+    manifests = {filtered_manifest(tmp_path / f"{name}.manifest").replace(f"{name}.csv", "X")
+                 for name in forms}
+    assert len(csvs) == len(manifests) == 1
+    assert "tau_min = -25" in manifests.pop().splitlines()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
