@@ -18,7 +18,7 @@ from rydcorr import (
     steady_state,
 )
 from rydcorr.algebra import devectorize, vectorize
-from rydcorr.cli import InvariantLog
+from rydcorr.cli import InvariantLog, _row
 from rydcorr.errors import DegenerateSteadyStateError, NegativeDurationError, NotPositiveError
 from rydcorr.liouville import (
     KEPT_CHAIN_ROWS,
@@ -28,6 +28,7 @@ from rydcorr.liouville import (
     _column_sums,
     _coordinates,
     _kept_chain,
+    _trace_deviation,
     _two_product,
     derive_adjoint,
     grid_steps,
@@ -153,6 +154,28 @@ def test_steady_state_contract(lv, rho_ss):
     assert abs(np.trace(rho_ss) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho_ss).min() > -1e-9
 
+
+def test_state_residuals_on_a_stack(lv_adj, rho_ss):
+    """The run audit's residuals of a stack are, entry by entry, those of each
+    matrix alone: states (unit trace) and effects (no trace condition)."""
+    effect = propagate(lv_adj, sigma(2, 2, 2).matrix, 3.0)
+    stack = np.stack([rho_ss, random_density(), 1.5 * random_density(), effect,
+                      sigma(1, 2, 2).matrix])
+    trace_dev = _trace_deviation(stack)
+    min_eig = np.linalg.eigvalsh(stack).min(axis=-1)
+    assert trace_dev.shape == min_eig.shape == (len(stack),)
+    for n, m in enumerate(stack):
+        assert trace_dev[n] == _trace_deviation(m) == abs(np.trace(m) - 1.0)
+        assert min_eig[n] == np.linalg.eigvalsh(m).min()
+    assert trace_dev[2] == pytest.approx(0.5)
+    assert trace_dev[3] > 0.1
+    assert min_eig[4] == 0.0
+    # the audit holds states, not effects, to a unit trace
+    states, effects = InvariantLog(), InvariantLog()
+    states.add_coordinates(np.concatenate([_row(m) for m in stack[:3]]))
+    effects.add_coordinates(np.concatenate([_row(m) for m in stack[3:]]), effects=True)
+    assert states.max_trace_dev == pytest.approx(0.5) and not states.ok
+    assert effects.max_trace_dev == 0.0 and effects.checked == 2
 
 def test_steady_state_dark_limit():
     p = ModelParams(gamma2=0.0, gamma_ph=0.0, v12=0.0)
