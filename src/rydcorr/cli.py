@@ -638,6 +638,7 @@ def _run_trajectories(cfg: argparse.Namespace, out: Path):
         ("counter.mcwf.steps", str(batch.count * round(batch.duration / batch.step))),
         *((f"counter.mcwf.jumps.c{c}", str(n)) for c, n in enumerate(batch.jumps)),
         ("counter.mcwf.uniforms", str(batch.count + 2 * sum(batch.jumps))),
+        ("counter.mcwf.rounds", str(batch.rounds)),
     ]
     return entries, log, [out]
 

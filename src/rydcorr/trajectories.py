@@ -8,7 +8,11 @@ dephasing cause jumps but no clicks.
 
 Jumps follow the integrated-norm ("waiting-time") rule of Dalibard, Castin &
 Molmer, PRL 68, 580 (1992), and Plenio & Knight, RMP 70, 101 (1998), on a
-fixed step lattice; ``mcwf_run`` states it.
+fixed step lattice; ``mcwf_run`` states it. A batch runs in windows of whole
+sample intervals: in each search round every trajectory finds its next jump
+up to the window end by binary lifting, so a window takes one round more
+than the most jumps any trajectory makes in it, and the samples inside it
+are marched afterwards from the window-start and post-jump states.
 
 Randomness is counter-based and splittable: trajectory n of a batch with
 seed s draws from Philox4x64-10 keyed by the 128-bit pair (s, n), one r at
@@ -17,8 +21,8 @@ reproducible bit-for-bit for a fixed (seed, params, duration, step). Each
 double is the top 53 bits of one raw 64-bit Philox word times 2^-53, which
 is what numpy's ``Generator.random()`` returns; one bare bit generator,
 re-keyed, reads every trajectory's words. A trajectory's clicks do not
-depend on how the steps are blocked, the draws chunked or the batch sized,
-unless a threshold falls within roundoff of a squared norm.
+depend on how the run is cut into windows, the draws chunked or the batch
+sized, unless a threshold falls within roundoff of a squared norm.
 
 A batch keeps its clicks as one table, a structured array sorted by
 (trajectory, time) with per-trajectory offsets into it. The ensemble is an
@@ -57,7 +61,9 @@ __all__ = [
 CLICK_CHANNELS = (0, 3)  # C1 of atom 1, C1 of atom 2 in the fixed channel order
 STREAM = "philox4x64-10/v2"  # one threshold per start and (channel, threshold) per jump
 MAX_JUMP_PROBABILITY = 0.1
-MAX_BLOCK_STEPS = 256  # longest block; the powers cache holds U_eff^0 .. U_eff^256
+# a search round looks ahead about this many steps: a window is as many
+# whole sample intervals as fit in it, and at least one
+WINDOW_STEPS = 1024
 RNG_CHUNK = 32  # raw words read from a trajectory's stream at a time; a multiple of 4
 # most steps per trajectory: about 500x the 200,160 of the CLI default run
 MAX_STEPS = 10**8
@@ -95,22 +101,28 @@ class _Uniforms:
         self.bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self.state = self.bits.state  # a fresh stream: empty buffer, counter 0
         self.key, self.counter = self.state["state"]["key"], self.state["state"]["counter"]
-        self.words = np.empty((count, RNG_CHUNK), dtype=np.uint64)
-        self.used = np.full(count, RNG_CHUNK)
+        # row n holds its chunk in columns 1..RNG_CHUNK; column 0 takes the
+        # chunk's last word when a draw of two straddles a refill
+        self.words = np.empty((count, RNG_CHUNK + 1), dtype=np.uint64)
+        self.used = np.full(count, RNG_CHUNK + 1)  # the next word's column
         self.chunks = np.zeros(count, dtype=np.int64)
 
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        """The next double of each listed trajectory."""
-        empty = rows[self.used[rows] == RNG_CHUNK]
-        for n, k in zip(empty.tolist(), self.chunks[empty].tolist()):
-            self.key[1], self.counter[0] = n, k * (RNG_CHUNK // 4)
+    def __call__(self, rows: np.ndarray, n: int = 1) -> np.ndarray:
+        """The next double of each listed trajectory; with n = 2, an array of
+        two rows, its next double and the one after it."""
+        short = rows[self.used[rows] > RNG_CHUNK + 1 - n]
+        for row, k in zip(short.tolist(), self.chunks[short].tolist()):
+            self.words[row, 0] = self.words[row, RNG_CHUNK]
+            self.key[1], self.counter[0] = row, k * (RNG_CHUNK // 4)
             self.bits.state = self.state
-            self.words[n] = self.bits.random_raw(RNG_CHUNK)
-        self.chunks[empty] += 1
-        self.used[empty] = 0
-        values = (self.words[rows, self.used[rows]] >> 11) * 2.0**-53
-        self.used[rows] += 1
-        return values
+            self.words[row, 1:] = self.bits.random_raw(RNG_CHUNK)
+        self.chunks[short] += 1
+        self.used[short] -= RNG_CHUNK
+        at = self.used[rows]
+        self.used[rows] += n
+        if n == 1:
+            return (self.words[rows, at] >> 11) * 2.0**-53
+        return (self.words[rows, at + np.arange(n)[:, None]] >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -136,6 +148,7 @@ class TrajectoryBatch:
     # even when the ensemble mean is carried by a few rare trajectories
     late_half_mean: dict = field(repr=False)
     jumps: tuple = field(repr=False)  # jumps per channel over the batch, channel order
+    rounds: int = field(repr=False)  # jump-search rounds the run took, over all windows
 
     def late_population(self, atom: int, level: int):
         """Late-half time-averaged population: ensemble (mean, standard error)."""
@@ -154,12 +167,36 @@ class TrajectoryBatch:
 
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1)[:, None]
+    """``rows``, each divided in place by its norm."""
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return rows
 
 
-def _row_times(states: np.ndarray, mats: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Row ``n`` of ``states`` times ``mats[k[n]]``."""
-    return np.matmul(states[:, None, :], mats[k])[:, 0, :]
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The real matrix that acts on complex row vectors, viewed as interleaved
+    real and imaginary parts, as ``m`` does: a product through it costs about
+    60% of the complex one."""
+    r = np.empty((2 * m.shape[0], 2 * m.shape[1]))
+    r[0::2, 0::2], r[0::2, 1::2] = m.real, m.imag
+    r[1::2, 0::2], r[1::2, 1::2] = -m.imag, m.real
+    return r
+
+
+def _times(rows: np.ndarray, form: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, set to C-contiguous complex ``rows`` times the matrix whose
+    real form is ``form``."""
+    np.matmul(rows.view(np.float64), form, out=out.view(np.float64))
+    return out
+
+
+def _room(buf: np.ndarray, rows: int) -> np.ndarray:
+    """``buf``, or a copy of it with room for half as many again as ``rows``
+    when it holds fewer."""
+    if rows <= buf.shape[0]:
+        return buf
+    grown = np.empty((rows + rows // 2,) + buf.shape[1:], dtype=buf.dtype)
+    grown[:buf.shape[0]] = buf
+    return grown
 
 
 def _norm2(rows: np.ndarray) -> np.ndarray:
@@ -181,6 +218,125 @@ def _mean_sem(rows: np.ndarray) -> tuple:
         return mean, np.zeros(rows.shape[1])
     dev = rows - mean
     return mean, np.sqrt(np.einsum("ij->j", dev * dev) / (n - 1)) / math.sqrt(n)
+
+
+def _run_windows(u_t: np.ndarray, jump_ops_t: np.ndarray, rate_weights_t: np.ndarray,
+                 psi0: np.ndarray, count: int, n_steps: int, sample_every: int, seed: int,
+                 take_sample) -> tuple:
+    """``mcwf_run``'s search rounds and sample marches, window by window.
+
+    ``take_sample(step, states)`` receives the un-normalized states at every
+    sample step, the last at ``n_steps``. Returns the clicks of each jump
+    round as (trajectory, step, channel) arrays, the jumps per channel and
+    the number of search rounds.
+    """
+    draw = _Uniforms(seed, count)
+    window = max(1, WINDOW_STEPS // sample_every) * sample_every
+    # lifts: (2^k, U_eff^(2^k)), largest first, 2^k up to the longest window
+    lifts = [(1, u_t)]
+    while 2 * lifts[-1][0] <= min(window, n_steps):
+        lifts.append((2 * lifts[-1][0], lifts[-1][1] @ lifts[-1][1]))
+    lifts = [(k, _real_form(power)) for k, power in reversed(lifts)]
+    marched = window > sample_every  # a window holds samples past its start
+    if marched:
+        u_sample = _real_form(np.linalg.matrix_power(u_t, sample_every))
+    # the window's jumps: the normalized state after each, and its trajectory
+    # and window step
+    landed = np.empty((count if marched else 0, DIM_PAIR), dtype=complex)
+    landed_at = np.empty((landed.shape[0], 2), dtype=np.intp)
+
+    # psi[n]: trajectory n's un-normalized no-jump state since its last jump,
+    # at the window start; nxt: the same at the window end; ahead: products
+    psi = np.tile(psi0, (count, 1))
+    nxt, ahead = np.empty_like(psi), np.empty_like(psi)
+    threshold = draw(np.arange(count))
+    jumps = np.zeros(len(jump_ops_t), dtype=np.int64)  # per channel; only clicks are kept
+    is_click = np.isin(np.arange(len(jump_ops_t)), CLICK_CHANNELS)
+    clicks = [(np.zeros(0, dtype=np.intp),) * 3]  # (trajectory, step, channel) per jump round
+    rounds = 0
+    for w0 in range(0, n_steps, window):
+        take_sample(w0, psi)
+        span = min(window, n_steps - w0)
+        # state[i] is trajectory rows[i] at window step span - left[i]; the
+        # first round searches in place in nxt
+        rows, left = np.arange(count), np.full(count, span)
+        np.copyto(nxt, psi)
+        state = nxt
+        n_landed = 0
+        while rows.size:
+            rounds += 1
+            r, prod = threshold[rows], ahead[:rows.size]
+            for k, power in lifts:
+                if k > left.max():
+                    continue
+                _times(state, power, out=prod)
+                ok = (k <= left) & (_norm2(prod) >= r)
+                np.copyto(state, prod, where=ok[:, None])
+                left[ok] -= k
+            done = left == 0
+            nxt[rows[done]] = state[done]
+            # the others jump on the next step; phi is the no-jump state there
+            go = ~done
+            rows, left = rows[go], left[go] - 1
+            if not rows.size:
+                break
+            phi = _normalized(_times(state[go], lifts[-1][1], out=ahead[:rows.size]))
+            cum = np.cumsum((phi.real ** 2 + phi.imag ** 2) @ rate_weights_t, axis=1)
+            u, threshold[rows] = draw(rows, 2)
+            channel = (u[:, None] * cum[:, -1:] < cum).argmax(axis=1)
+            per_channel = np.bincount(channel, minlength=len(jump_ops_t))
+            after = np.empty_like(phi)
+            for c in np.flatnonzero(per_channel).tolist():
+                on = channel == c
+                after[on] = phi[on] @ jump_ops_t[c]
+            norms = np.linalg.norm(after, axis=1)
+            if np.any(norms < 1e-150):
+                c = int(channel[norms.argmin()])
+                raise NormUnderflowError(f"jump on channel {c} produced a null state")
+            after /= norms[:, None]
+            state = after
+            jumps += per_channel
+            at = span - left  # the jump's window step
+            click = is_click[channel]
+            clicks.append((rows[click], w0 + at[click] - 1, channel[click]))
+            if marched:
+                end = n_landed + rows.size
+                landed, landed_at = _room(landed, end), _room(landed_at, end)
+                landed[n_landed:end] = state
+                landed_at[n_landed:end, 0], landed_at[n_landed:end, 1] = rows, at
+                n_landed = end
+        samples = -(-span // sample_every)  # sample points in the window, the first at its start
+        cur = psi
+        if marched and samples > 1:
+            jump_rows, jump_at = landed_at[:n_landed].T
+            nearest = -(-jump_at // sample_every)  # the first sample at or after each jump
+            # carry each post-jump state to that sample, in place, count rows at a time
+            for a in range(0, n_landed, count):
+                part = landed[a:min(a + count, n_landed)]
+                prod = ahead[:part.shape[0]]
+                d = nearest[a:a + count] * sample_every - jump_at[a:a + count]
+                for k, power in lifts:
+                    on = (d & k) != 0
+                    if on.any():
+                        np.copyto(part, _times(part, power, out=prod), where=on[:, None])
+            # sample s takes each trajectory's last jump before it, if any; the
+            # rounds store each trajectory's jumps in order, and a stable sort
+            # by (sample, trajectory) keeps that order
+            key = nearest * count + jump_rows
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            last = np.append(key[1:] != key[:-1], True) & (key < samples * count)
+            order, key = order[last], key[last]
+            bounds = np.searchsorted(key, np.arange(1, samples + 1) * count).tolist()
+            for s in range(1, samples):
+                _times(cur, u_sample, out=ahead)
+                cur, ahead = ahead, cur
+                take = slice(bounds[s - 1], bounds[s])
+                cur[key[take] % count] = landed[order[take]]
+                take_sample(w0 + s * sample_every, cur)
+        psi, nxt = nxt, cur
+    take_sample(n_steps, psi)
+    return clicks, jumps, rounds
 
 
 def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
@@ -205,11 +361,19 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     the first channel whose cumulative weight |C_c psi_j|^2 exceeds u times
     their sum; the pre-jump state is psi_j, at the click time.
 
-    The run is cut into blocks at every sample step, none longer than
-    MAX_BLOCK_STEPS. As |psi_j|^2 does not increase between jumps, a
-    trajectory jumps in a block exactly when its state at the block end is
-    below r. For those, binary lifting over the cached U_eff^(2^k), one
-    product per power for all of them, finds the last point still >= r.
+    The run is cut into windows of whole sample intervals, each about
+    WINDOW_STEPS steps long (one interval when ``sample_every`` is longer),
+    and every trajectory finishes a window before any starts the next. In
+    each search round every trajectory still in the window looks from its
+    window-start or last post-jump state to the window end for its next
+    jump. As |psi_j|^2 does not increase between jumps, binary lifting over
+    the cached U_eff^(2^k), one product per power for all of them, finds the
+    last point still >= r; a search that reaches the window end finds no
+    jump. A window thus takes 1 + the most jumps any one trajectory makes in
+    it rounds (``TrajectoryBatch.rounds``). The samples inside a window are
+    then marched from the window-start states by U_eff^sample_every, each
+    trajectory restarting from its last post-jump state before the sample,
+    carried to it from its lattice step.
     """
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -246,7 +410,7 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
         raise TooManyStepsError(f"the jump-probability cap halves the step to {dt:.3g}, which "
                                 f"takes more than {MAX_STEPS} steps; use a shorter duration")
 
-    u_eff = algebra.expm((-1j * h - 0.5 * decay_sum) * dt)
+    u_t = algebra.expm((-1j * h - 0.5 * decay_sum) * dt).T  # U_eff on row vectors
     jump_ops_t = np.stack([c.T for c in cs])  # (6, 9, 9), acting on row vectors
 
     if initial is None:
@@ -268,15 +432,15 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     # basis state 3(k1-1) + (k2-1) -> atom 1 in level k1 (columns 0-2), atom 2 in k2 (3-5)
     level_of = np.hstack([np.kron(np.eye(3), np.ones((3, 1))), np.kron(np.ones((3, 1)), np.eye(3))])
 
-    draw = _Uniforms(seed, count)
     sample_times = []
     mean_rows, sem_rows = [], []
     late_sum = np.zeros((count, 6))
     late_samples = 0
     half_time = duration / 2.0
 
-    def take_sample(t_now, psi):
+    def take_sample(at_step, psi):
         nonlocal late_samples, late_sum
+        t_now = at_step * dt
         absq = psi.real ** 2 + psi.imag ** 2
         pops = (absq @ level_of) / absq.sum(axis=1)[:, None]
         sample_times.append(t_now)
@@ -287,70 +451,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
             late_samples += 1
             late_sum += pops
 
-    # blocks end at every sample step and every MAX_BLOCK_STEPS steps, so
-    # none is longer than either; powers[k] = U_eff^k acting on row vectors
-    edges = np.union1d(np.arange(0, n_steps, sample_every),
-                       np.arange(0, n_steps, MAX_BLOCK_STEPS)).tolist() + [n_steps]
-    powers = np.empty((min(MAX_BLOCK_STEPS, sample_every, n_steps) + 1, DIM_PAIR, DIM_PAIR),
-                      dtype=complex)
-    powers[0] = np.eye(DIM_PAIR)
-    for k in range(1, powers.shape[0]):
-        powers[k] = powers[k - 1] @ u_eff.T
-    lifts = [1 << k for k in reversed(range((powers.shape[0] - 1).bit_length()))]
-
-    # psi[n]: trajectory n's un-normalized no-jump state since its last jump
-    psi = np.tile(psi0, (count, 1))
-    threshold = draw(np.arange(count))
-    jumps = np.zeros(len(cs), dtype=np.int64)  # per channel; only clicks are kept
-    is_click = np.isin(np.arange(len(cs)), CLICK_CHANNELS)
-    clicks = [(np.zeros(0, dtype=np.intp),) * 3]  # (trajectory, step, channel) per jump round
-    for b0, b1 in zip(edges[:-1], edges[1:]):
-        if b0 % sample_every == 0:
-            take_sample(b0 * dt, psi)
-        span = b1 - b0
-        # state[i] is trajectory rows[i] at block step at[i], and end[i] is
-        # its no-jump state at the block end
-        rows, state, at = np.arange(count), psi, np.zeros(count, dtype=np.intp)
-        end = psi @ powers[span]
-        while rows.size:
-            below = _norm2(end) < threshold[rows]
-            state, at = state[below], at[below]
-            psi[rows[~below]] = end[~below]
-            rows = rows[below]
-            if not rows.size:
-                break
-            # binary lifting to the last step at or above r; its norm^2 at
-            # the block end is below r, so it stops short of the end
-            r = threshold[rows]
-            left = span - at
-            for k in lifts:
-                if k > left.max():
-                    continue
-                ahead = state @ powers[k]
-                ok = (k <= left) & (_norm2(ahead) >= r)
-                np.copyto(state, ahead, where=ok[:, None])
-                left[ok] -= k
-            # a search reaches the block end only by roundoff: no jump then
-            done = left == 0
-            psi[rows[done]] = state[done]
-            rows, state, at = rows[~done], state[~done], span - left[~done] + 1
-            # the jump falls on the next step; phi is the no-jump state there
-            phi = _normalized(state @ powers[1])
-            cum = np.cumsum((phi.real ** 2 + phi.imag ** 2) @ rate_weights_t, axis=1)
-            u = draw(rows)
-            channel = (u[:, None] * cum[:, -1:] < cum).argmax(axis=1)
-            after = _row_times(phi, jump_ops_t, channel)
-            norms = np.linalg.norm(after, axis=1)
-            if np.any(norms < 1e-150):
-                c = int(channel[norms.argmin()])
-                raise NormUnderflowError(f"jump on channel {c} produced a null state")
-            state = after / norms[:, None]
-            jumps += np.bincount(channel, minlength=len(cs))
-            click = is_click[channel]
-            clicks.append((rows[click], b0 + at[click] - 1, channel[click]))
-            threshold[rows] = draw(rows)
-            end = _row_times(state, powers, span - at)
-    take_sample(n_steps * dt, psi)
+    clicks, jumps, rounds = _run_windows(u_t, jump_ops_t, rate_weights_t, psi0, count, n_steps,
+                                         sample_every, seed, take_sample)
 
     traj, steps, chans = (np.concatenate(x) for x in zip(*clicks))
     order = np.lexsort((steps, traj))
@@ -371,6 +473,7 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
         level_sem={"atom1": sem[:, :3], "atom2": sem[:, 3:]},
         late_half_mean={"atom1": late[:, :3], "atom2": late[:, 3:]},
         jumps=tuple(jumps.tolist()),
+        rounds=rounds,
     )
 
 

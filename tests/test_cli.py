@@ -764,11 +764,12 @@ def test_trajectories_command(tmp_path):
     steps = int(entries["counter.mcwf.steps"])
     assert steps == 100 * round(30 / float(entries["step"]))
     assert int(entries["counter.mcwf.uniforms"]) == 100 + 2 * sum(jumps)
+    assert int(entries["counter.mcwf.rounds"]) >= 1
     assert float(entries["timing.mcwf_run_s"]) >= 0
     # the volatile lines close the manifest
     n_volatile = sum(k.startswith(cli.VOLATILE_KEYS) for k in keys)
     assert all(k.startswith(cli.VOLATILE_KEYS) for k in keys[-n_volatile:])
-    assert n_volatile == 13
+    assert n_volatile == 14
     assert entries["counter.audit.eigvalsh_stacks"] == "0"
     assert entries["invariant.states_checked"] == "1"
     assert entries["invariant.overall"] == "pass"

@@ -36,6 +36,7 @@ def empty_diag():
         "level_sem": {"atom1": np.zeros((0, 3)), "atom2": np.zeros((0, 3))},
         "late_half_mean": {"atom1": np.zeros((1, 3)), "atom2": np.zeros((1, 3))},
         "jumps": (0,) * 6,
+        "rounds": 0,
     }
 
 
@@ -100,7 +101,7 @@ V2_STREAM = {
     "single": (BRIGHT, dict(duration=40.0, step=0.004, seed=9, count=1), 9,
                "534e78540efb2311e408fd2783fe57addc0a13c5be27db6102cd9d857247e55b",
                0.20247842999221694, 0.20240004664304356),
-    # samples sparser than the longest block
+    # samples sparser than WINDOW_STEPS: each window is one sample interval
     "sparse_samples": (BRIGHT, dict(duration=10.0, step=0.004, seed=13, count=60, sample_every=700), 138,
                        "18182253296576805dc2ccc91ae435f2d5ee61dd1b17e4e551330badd3d4e68c",
                        0.12695203442937128, 0.4177405568773768),
@@ -196,6 +197,34 @@ def test_records_do_not_depend_on_block_length_or_batch_size():
     alone = mcwf_run(BRIGHT, **dict(kw, count=1))
     assert alone.clicks.size > 0
     assert np.array_equal(alone.clicks, runs[1].clicks[:runs[1].offsets[1]])
+
+
+@pytest.mark.parametrize("sample_every", [1, 62, 700])
+def test_click_table_does_not_depend_on_the_window(monkeypatch, sample_every):
+    """One sample interval per window (every trajectory finishes each
+    interval before any starts the next), the default window and one window
+    over the whole run give the same clicks, and populations equal to
+    roundoff; longer windows take no more search rounds."""
+    kw = dict(duration=12.0, step=0.004, seed=21, sample_every=sample_every)
+    runs = {}
+    for window_steps in (sample_every, trajectories.WINDOW_STEPS, 10**9):
+        monkeypatch.setattr(trajectories, "WINDOW_STEPS", window_steps)
+        runs[window_steps] = [mcwf_run(BRIGHT, count=count, **kw) for count in (30, 1)]
+    first = runs[sample_every]
+    assert first[0].clicks.size > 50 and first[1].clicks.size > 0
+    assert np.array_equal(first[1].clicks, first[0].clicks[:first[0].offsets[1]])
+    for batches in runs.values():
+        for batch, ref in zip(batches, first):
+            assert np.array_equal(batch.clicks, ref.clicks)
+            assert np.array_equal(batch.offsets, ref.offsets)
+            assert batch.jumps == ref.jumps
+            assert np.array_equal(batch.sample_times, ref.sample_times)
+            for atom in ("atom1", "atom2"):
+                for stat in ("level_mean", "level_sem", "late_half_mean"):
+                    assert np.max(np.abs(getattr(batch, stat)[atom]
+                                         - getattr(ref, stat)[atom])) < 1e-12
+    rounds = [batches[0].rounds for batches in runs.values()]
+    assert rounds == sorted(rounds, reverse=True) and rounds[-1] < rounds[0]
 
 
 def test_first_jump_times_follow_no_jump_norm():
@@ -302,20 +331,25 @@ def test_click_times_strictly_increasing(bright_batch):
 
 def test_uniforms_are_generator_random_bit_for_bit():
     """Trajectory n's doubles are Generator.random()'s on Philox key (s, n),
-    across chunk refills, however often its neighbours draw."""
+    across chunk refills, drawn one or two at a time (a pair may straddle a
+    refill), however often its neighbours draw."""
     seed, count, size = 2**63, trajectories.MAX_TRAJECTORIES, 4 * trajectories.RNG_CHUNK + 3
     draw = trajectories._Uniforms(seed, count)
-    first, last = [], []
+    drawn = {0: [], count - 1: []}
     for k in range(size):
-        values = draw(np.array([0, count - 1]) if k % 3 else np.array([0]))
-        first.append(values[0])
-        last.extend(values[1:])
-    while len(last) < size:
-        last.extend(draw(np.array([count - 1])))
-    for n, drawn in ((0, first), (count - 1, last)):
+        rows = np.array([0, count - 1]) if k % 3 else np.array([0])
+        if k % 4:  # u and the next r of each row, as a jump round draws them
+            for row, pair in zip(rows.tolist(), draw(rows, 2).T.tolist()):
+                drawn[row].extend(pair)
+        else:
+            for row, value in zip(rows.tolist(), draw(rows).tolist()):
+                drawn[row].append(value)
+    while len(drawn[count - 1]) < len(drawn[0]):
+        drawn[count - 1].extend(draw(np.array([count - 1])).tolist())
+    for n, values in drawn.items():
         key = np.array([seed, n], dtype=np.uint64)
-        expected = np.random.Generator(np.random.Philox(key=key)).random(size)
-        assert np.array_equal(np.array(drawn), expected)
+        expected = np.random.Generator(np.random.Philox(key=key)).random(len(values))
+        assert np.array_equal(np.array(values), expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 150, 1000, 10_000])
