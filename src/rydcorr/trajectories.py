@@ -64,11 +64,11 @@ MAX_JUMP_PROBABILITY = 0.1
 # a search round looks ahead about this many steps: a window is as many
 # whole sample intervals as fit in it, and at least one
 WINDOW_STEPS = 1024
-RNG_CHUNK = 32  # raw words read from a trajectory's stream at a time; a multiple of 4
+RNG_CHUNK = 64  # raw words read from a trajectory's stream at a time; a multiple of 4
 # most steps per trajectory: about 500x the 200,160 of the CLI default run
 MAX_STEPS = 10**8
 # most trajectories per batch: 10x criterion 09's 10^4, 1000x the CLI default;
-# each one holds a row of the raw-word buffer
+# each one holds a row of RNG_CHUNK + 1 words in the raw-word buffer, 52 MB at the bound
 MAX_TRAJECTORIES = 10**5
 # one row per click: its trajectory, its channel and its time (step + 1) * dt
 CLICK_DTYPE = np.dtype([("trajectory", np.int64), ("channel", np.int64), ("time", np.float64)])
@@ -90,10 +90,11 @@ def _atom(channel: np.ndarray) -> np.ndarray:
 class _Uniforms:
     """Trajectory n's doubles in [0, 1), from Philox4x64-10 keyed by (seed, n).
 
-    One bit generator reads every stream, RNG_CHUNK raw words at a time. A
-    Philox stream is a function of its key and a counter that grows by one
-    for every four words, so chunk k of stream n is read from key (seed, n)
-    and counter k * RNG_CHUNK / 4. A double is the top 53 bits of a word
+    One bit generator reads every stream, RNG_CHUNK raw words at a time,
+    re-keyed once per chunk. A Philox stream is a function of its key and a
+    counter that grows by one for every four words, so chunk k of stream n
+    is read from key (seed, n) and counter k * RNG_CHUNK / 4, and the chunk
+    size cannot change the doubles. A double is the top 53 bits of a word
     times 2^-53, as ``Generator.random()`` makes it.
     """
 
@@ -166,12 +167,6 @@ class TrajectoryBatch:
         return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def _normalized(rows: np.ndarray) -> np.ndarray:
-    """``rows``, each divided in place by its norm."""
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
-    return rows
-
-
 def _real_form(m: np.ndarray) -> np.ndarray:
     """The real matrix that acts on complex row vectors, viewed as interleaved
     real and imaginary parts, as ``m`` does: a product through it costs about
@@ -205,6 +200,31 @@ def _norm2(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", v, v)
 
 
+def _jump_tables(jump_ops_t: np.ndarray) -> tuple:
+    """``(jump_from, jump_weight)``, both (channels, 9): column j of channel
+    c's C^T holds its one nonzero entry jump_weight[c, j] in row
+    jump_from[c, j] (weight 0 for a zero column). Refuses (ValueError) a
+    C^T with two nonzero entries in one column, which a gather cannot apply.
+    """
+    if np.any(np.count_nonzero(jump_ops_t, axis=1) > 1):
+        raise ValueError("a jump operator maps two basis states onto one; "
+                         "a jump cannot be applied as a gather")
+    jump_from = (jump_ops_t != 0).argmax(axis=1)
+    return jump_from, np.take_along_axis(jump_ops_t, jump_from[:, None], axis=1)[:, 0]
+
+
+def _jump(phi: np.ndarray, channel: np.ndarray, jump_from: np.ndarray,
+          jump_weight: np.ndarray) -> tuple:
+    """Each row of ``phi`` times its channel's C^T, and the norm of each.
+
+    With ``_jump_tables``' one nonzero entry per column, the product is a
+    gather and one multiply per entry: the numbers of ``phi @ C^T``.
+    """
+    after = np.take_along_axis(phi, jump_from[channel], axis=1)
+    after *= jump_weight[channel]
+    return after, np.sqrt(_norm2(after))
+
+
 def _mean_sem(rows: np.ndarray) -> tuple:
     """Column means and standard errors of the mean (zero for one row).
 
@@ -220,11 +240,12 @@ def _mean_sem(rows: np.ndarray) -> tuple:
     return mean, np.sqrt(np.einsum("ij->j", dev * dev) / (n - 1)) / math.sqrt(n)
 
 
-def _run_windows(u_t: np.ndarray, jump_ops_t: np.ndarray, rate_weights_t: np.ndarray,
-                 psi0: np.ndarray, count: int, n_steps: int, sample_every: int, seed: int,
-                 take_sample) -> tuple:
+def _run_windows(u_t: np.ndarray, jump_from: np.ndarray, jump_weight: np.ndarray,
+                 rate_weights_t: np.ndarray, psi0: np.ndarray, count: int, n_steps: int,
+                 sample_every: int, seed: int, take_sample) -> tuple:
     """``mcwf_run``'s search rounds and sample marches, window by window.
 
+    The jumps are ``_jump``'s gathers from ``jump_from`` and ``jump_weight``.
     ``take_sample(step, states)`` receives the un-normalized states at every
     sample step, the last at ``n_steps``. Returns the clicks of each jump
     round as (trajectory, step, channel) arrays, the jumps per channel and
@@ -250,8 +271,11 @@ def _run_windows(u_t: np.ndarray, jump_ops_t: np.ndarray, rate_weights_t: np.nda
     psi = np.tile(psi0, (count, 1))
     nxt, ahead = np.empty_like(psi), np.empty_like(psi)
     threshold = draw(np.arange(count))
-    jumps = np.zeros(len(jump_ops_t), dtype=np.int64)  # per channel; only clicks are kept
-    is_click = np.isin(np.arange(len(jump_ops_t)), CLICK_CHANNELS)
+    n_channels = len(jump_from)
+    jumps = np.zeros(n_channels, dtype=np.int64)  # per channel; only clicks are kept
+    is_click = np.isin(np.arange(n_channels), CLICK_CHANNELS)
+    # cumulative channel weights of the squared interleaved real and imaginary parts
+    cum_weights = np.repeat(rate_weights_t, 2, axis=0) @ np.triu(np.ones((n_channels,) * 2))
     clicks = [(np.zeros(0, dtype=np.intp),) * 3]  # (trajectory, step, channel) per jump round
     rounds = 0
     for w0 in range(0, n_steps, window):
@@ -266,13 +290,14 @@ def _run_windows(u_t: np.ndarray, jump_ops_t: np.ndarray, rate_weights_t: np.nda
         while rows.size:
             rounds += 1
             r, prod = threshold[rows], ahead[:rows.size]
+            top = left.max()
             for k, power in lifts:
-                if k > left.max():
+                if k > top:
                     continue
                 _times(state, power, out=prod)
                 ok = (k <= left) & (_norm2(prod) >= r)
                 np.copyto(state, prod, where=ok[:, None])
-                left[ok] -= k
+                left -= k * ok
             done = left == 0
             nxt[rows[done]] = state[done]
             # the others jump on the next step; phi is the no-jump state there
@@ -280,22 +305,17 @@ def _run_windows(u_t: np.ndarray, jump_ops_t: np.ndarray, rate_weights_t: np.nda
             rows, left = rows[go], left[go] - 1
             if not rows.size:
                 break
-            phi = _normalized(_times(state[go], lifts[-1][1], out=ahead[:rows.size]))
-            cum = np.cumsum((phi.real ** 2 + phi.imag ** 2) @ rate_weights_t, axis=1)
+            phi = _times(state[go], lifts[-1][1], out=ahead[:rows.size])
+            phi /= np.sqrt(_norm2(phi))[:, None]
+            cum = phi.view(np.float64) ** 2 @ cum_weights
             u, threshold[rows] = draw(rows, 2)
             channel = (u[:, None] * cum[:, -1:] < cum).argmax(axis=1)
-            per_channel = np.bincount(channel, minlength=len(jump_ops_t))
-            after = np.empty_like(phi)
-            for c in np.flatnonzero(per_channel).tolist():
-                on = channel == c
-                after[on] = phi[on] @ jump_ops_t[c]
-            norms = np.linalg.norm(after, axis=1)
+            state, norms = _jump(phi, channel, jump_from, jump_weight)
             if np.any(norms < 1e-150):
                 c = int(channel[norms.argmin()])
                 raise NormUnderflowError(f"jump on channel {c} produced a null state")
-            after /= norms[:, None]
-            state = after
-            jumps += per_channel
+            state /= norms[:, None]
+            jumps += np.bincount(channel, minlength=n_channels)
             at = span - left  # the jump's window step
             click = is_click[channel]
             clicks.append((rows[click], w0 + at[click] - 1, channel[click]))
@@ -310,15 +330,6 @@ def _run_windows(u_t: np.ndarray, jump_ops_t: np.ndarray, rate_weights_t: np.nda
         if marched and samples > 1:
             jump_rows, jump_at = landed_at[:n_landed].T
             nearest = -(-jump_at // sample_every)  # the first sample at or after each jump
-            # carry each post-jump state to that sample, in place, count rows at a time
-            for a in range(0, n_landed, count):
-                part = landed[a:min(a + count, n_landed)]
-                prod = ahead[:part.shape[0]]
-                d = nearest[a:a + count] * sample_every - jump_at[a:a + count]
-                for k, power in lifts:
-                    on = (d & k) != 0
-                    if on.any():
-                        np.copyto(part, _times(part, power, out=prod), where=on[:, None])
             # sample s takes each trajectory's last jump before it, if any; the
             # rounds store each trajectory's jumps in order, and a stable sort
             # by (sample, trajectory) keeps that order
@@ -327,6 +338,16 @@ def _run_windows(u_t: np.ndarray, jump_ops_t: np.ndarray, rate_weights_t: np.nda
             key = key[order]
             last = np.append(key[1:] != key[:-1], True) & (key < samples * count)
             order, key = order[last], key[last]
+            # carry only those post-jump states to their samples, count rows at a time
+            d = key // count * sample_every - jump_at[order]
+            for a in range(0, order.size, count):
+                part = landed[order[a:a + count]]
+                prod = ahead[:part.shape[0]]
+                for k, power in lifts:
+                    on = (d[a:a + count] & k) != 0
+                    if on.any():
+                        np.copyto(part, _times(part, power, out=prod), where=on[:, None])
+                landed[order[a:a + count]] = part
             bounds = np.searchsorted(key, np.arange(1, samples + 1) * count).tolist()
             for s in range(1, samples):
                 _times(cur, u_sample, out=ahead)
@@ -359,7 +380,10 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     U_eff = exp(-i H_eff dt), from that lattice point. It jumps at the first
     j with |psi_j|^2 < r, clicking at time j dt. It then draws u and takes
     the first channel whose cumulative weight |C_c psi_j|^2 exceeds u times
-    their sum; the pre-jump state is psi_j, at the click time.
+    their sum; the pre-jump state is psi_j, at the click time. A jump is a
+    gather: each C_c^T has at most one nonzero entry per column (a run with
+    a jump operator that has two is refused with ValueError), so C_c psi_j
+    is psi_j's entries, reordered and scaled.
 
     The run is cut into windows of whole sample intervals, each about
     WINDOW_STEPS steps long (one interval when ``sample_every`` is longer),
@@ -372,8 +396,9 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     jump. A window thus takes 1 + the most jumps any one trajectory makes in
     it rounds (``TrajectoryBatch.rounds``). The samples inside a window are
     then marched from the window-start states by U_eff^sample_every, each
-    trajectory restarting from its last post-jump state before the sample,
-    carried to it from its lattice step.
+    trajectory restarting from its last post-jump state before the sample.
+    Only those last jumps, one per (trajectory, sample) at most, are carried
+    to their samples from their lattice steps.
     """
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -401,6 +426,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     # per-channel jump weights a cheap weighted sum of |psi|^2
     if np.max(np.abs(decay_sum - np.diag(np.diag(decay_sum)))) > 1e-12:
         raise ValueError("jump-rate matrix unexpectedly non-diagonal")
+    # a jump is a gather; an operator the gather cannot apply is refused here
+    jump_from, jump_weight = _jump_tables(np.stack([c.T for c in cs]))
     rate_weights_t = np.stack([np.diag(c.conj().T @ c).real for c in cs], axis=1)  # (9, 6)
 
     while dt * float(np.diag(decay_sum).real.max()) > MAX_JUMP_PROBABILITY:
@@ -411,7 +438,6 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
                                 f"takes more than {MAX_STEPS} steps; use a shorter duration")
 
     u_t = algebra.expm((-1j * h - 0.5 * decay_sum) * dt).T  # U_eff on row vectors
-    jump_ops_t = np.stack([c.T for c in cs])  # (6, 9, 9), acting on row vectors
 
     if initial is None:
         psi0 = np.eye(DIM_PAIR, dtype=complex)[0]
@@ -431,6 +457,7 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
 
     # basis state 3(k1-1) + (k2-1) -> atom 1 in level k1 (columns 0-2), atom 2 in k2 (3-5)
     level_of = np.hstack([np.kron(np.eye(3), np.ones((3, 1))), np.kron(np.ones((3, 1)), np.eye(3))])
+    level_of2 = np.repeat(level_of, 2, axis=0)  # over interleaved real and imaginary parts
 
     sample_times = []
     mean_rows, sem_rows = [], []
@@ -441,8 +468,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
     def take_sample(at_step, psi):
         nonlocal late_samples, late_sum
         t_now = at_step * dt
-        absq = psi.real ** 2 + psi.imag ** 2
-        pops = (absq @ level_of) / absq.sum(axis=1)[:, None]
+        pops = psi.view(np.float64) ** 2 @ level_of2
+        pops /= (pops[:, 0] + pops[:, 1] + pops[:, 2])[:, None]  # atom 1's levels sum to the norm
         sample_times.append(t_now)
         mean, sem = _mean_sem(pops)
         mean_rows.append(mean)
@@ -451,8 +478,8 @@ def mcwf_run(p: ModelParams, duration: float, step: float, seed: int,
             late_samples += 1
             late_sum += pops
 
-    clicks, jumps, rounds = _run_windows(u_t, jump_ops_t, rate_weights_t, psi0, count, n_steps,
-                                         sample_every, seed, take_sample)
+    clicks, jumps, rounds = _run_windows(u_t, jump_from, jump_weight, rate_weights_t, psi0,
+                                         count, n_steps, sample_every, seed, take_sample)
 
     traj, steps, chans = (np.concatenate(x) for x in zip(*clicks))
     order = np.lexsort((steps, traj))

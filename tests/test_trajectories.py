@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -14,7 +15,7 @@ from rydcorr.errors import (
     TooManyStepsError,
     TooManyTrajectoriesError,
 )
-from rydcorr.model import jump_operators, pair_hamiltonian, sigma
+from rydcorr.model import PairOperator, jump_operators, pair_hamiltonian, sigma
 from rydcorr.trajectories import CLICK_DTYPE, TrajectoryBatch, write_clicks_csv
 
 from conftest import BRIGHT
@@ -307,14 +308,52 @@ def test_trajectory_count_is_bounded(monkeypatch):
 
 def test_null_jump_raises_norm_underflow(monkeypatch):
     """A jump whose state has no norm left is refused. The jump rule cannot
-    pick a channel of zero weight, so the norm of the jumped states (the
-    only row norms mcwf_run takes outside ``_normalized``) is corrupted."""
-    norm = np.linalg.norm
-    monkeypatch.setattr(trajectories, "_normalized", lambda rows: rows / norm(rows, axis=1)[:, None])
-    monkeypatch.setattr(np.linalg, "norm", lambda x, *args, axis=None, **kwargs:
-                        norm(x, *args, axis=axis, **kwargs) * (0.0 if axis == 1 else 1.0))
+    pick a channel of zero weight, so the norms ``_jump`` gives the jumped
+    states are corrupted."""
+    jump = trajectories._jump
+
+    def null_norms(*args):
+        after, norms = jump(*args)
+        return after, norms * 0.0
+
+    monkeypatch.setattr(trajectories, "_jump", null_norms)
     with pytest.raises(NormUnderflowError, match="null state"):
         mcwf_run(BRIGHT, duration=20.0, step=0.004, seed=5, count=4)
+
+
+@pytest.mark.parametrize("p", [BRIGHT, dataclasses.replace(BRIGHT, gamma_ph=0.0)],
+                         ids=["bright", "no_dephasing"])
+def test_jump_gather_is_the_product_bit_for_bit(p):
+    """Every channel's gather gives the numbers of the product with its C^T,
+    also for the zero C3 of gamma_ph = 0."""
+    jump_ops_t = np.stack([c.matrix.T for c in jump_operators(p)])
+    tables = trajectories._jump_tables(jump_ops_t)
+    rng = np.random.default_rng(9)
+    phi = rng.normal(size=(40, 9)) + 1j * rng.normal(size=(40, 9))
+    for c in range(len(jump_ops_t)):
+        after, norms = trajectories._jump(phi, np.full(len(phi), c), *tables)
+        assert np.array_equal(after, phi @ jump_ops_t[c])
+        assert np.array_equal(norms, np.sqrt(trajectories._norm2(after)))
+    # one channel per row, as a jump round mixes them
+    channel = np.arange(len(phi)) % len(jump_ops_t)
+    after, _ = trajectories._jump(phi, channel, *tables)
+    assert np.array_equal(after, np.einsum("ni,nij->nj", phi, jump_ops_t[channel]))
+
+
+def test_jump_operator_the_gather_cannot_apply_is_refused(monkeypatch):
+    """A jump operator with two nonzero entries in one column of C^T is
+    refused before any draw, even when the summed C^+C stays diagonal."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trajectory generator was built")
+
+    mixing = np.zeros((9, 9))
+    mixing[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) * math.sqrt(0.1)  # C^+C = 0.2 on |0>, |1>
+    ops = jump_operators(BRIGHT)
+    ops[2] = PairOperator(mixing, label="mixing")
+    monkeypatch.setattr(trajectories, "jump_operators", lambda p: ops)
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    with pytest.raises(ValueError, match="gather"):
+        mcwf_run(BRIGHT, duration=1.0, step=0.004, seed=1, count=2)
 
 
 @pytest.mark.parametrize("sample_every", [0, -5])
@@ -329,11 +368,13 @@ def test_click_times_strictly_increasing(bright_batch):
     assert np.all(np.diff(bright_batch.clicks["time"])[step == 0] > 0)
 
 
-def test_uniforms_are_generator_random_bit_for_bit():
+@pytest.mark.parametrize("chunk", [4, 32, 64])
+def test_uniforms_are_generator_random_bit_for_bit(monkeypatch, chunk):
     """Trajectory n's doubles are Generator.random()'s on Philox key (s, n),
     across chunk refills, drawn one or two at a time (a pair may straddle a
-    refill), however often its neighbours draw."""
-    seed, count, size = 2**63, trajectories.MAX_TRAJECTORIES, 4 * trajectories.RNG_CHUNK + 3
+    refill), however often its neighbours draw, whatever the chunk size."""
+    monkeypatch.setattr(trajectories, "RNG_CHUNK", chunk)
+    seed, count, size = 2**63, trajectories.MAX_TRAJECTORIES, 4 * chunk + 3
     draw = trajectories._Uniforms(seed, count)
     drawn = {0: [], count - 1: []}
     for k in range(size):
